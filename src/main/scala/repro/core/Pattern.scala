@@ -63,14 +63,22 @@ final case class Pattern(
     */
   val typeToPos: Map[Int, Int] = types.zipWithIndex.toMap
 
-  /** Predicates grouped by the unordered position pair they relate, keyed with
-    * the smaller position first.
+  /** All unordered position pairs that carry at least one predicate, each
+    * with its smaller position first, in sorted order.
     */
-  val predsByPair: Map[(Int, Int), Vector[Predicate]] =
-    predicates.groupBy(p => (math.min(p.i, p.j), math.max(p.i, p.j)))
+  val predicatePairs: Vector[(Int, Int)] =
+    predicates.map(p => if (p.i < p.j) (p.i, p.j) else (p.j, p.i)).distinct.sorted
 
-  /** All unordered position pairs that carry at least one predicate. */
-  val predicatePairs: Vector[(Int, Int)] = predsByPair.keys.toVector.sorted
+  // pairSlot(i * n + j) = pairSlot(j * n + i) = index of the pair {i, j} in
+  // `predicatePairs` and `pairPreds` (its predicates), or -1 when none.
+  private val pairSlot: Array[Int] = Array.fill(n * n)(-1)
+  predicatePairs.zipWithIndex.foreach { case ((i, j), k) =>
+    pairSlot(i * n + j) = k
+    pairSlot(j * n + i) = k
+  }
+  private val pairPreds: Array[Array[Predicate]] = predicatePairs.map { case (i, j) =>
+    predicates.filter(p => p.i == i && p.j == j || p.i == j && p.j == i).toArray
+  }.toArray
 
   /** Predicates touching a given position, paired with the other position. */
   val predsTouching: Vector[Vector[(Int, Predicate)]] =
@@ -81,20 +89,26 @@ final case class Pattern(
       }
     }
 
-  /** Joint predicate evaluation for the unordered pair (i,j); `true` when no
-    * predicate is defined on the pair.
+  /** Index of the unordered pair {i, j} in `predicatePairs`, or -1 when no
+    * predicate relates the two positions (always for `i == j`).
+    */
+  def pairIndex(i: Int, j: Int): Int = pairSlot(i * n + j)
+
+  /** Joint predicate evaluation for the unordered pair (i,j), with `ei` the
+    * event at position `i` and `ej` at position `j`; `true` when no predicate
+    * is defined on the pair.
     */
   def pairHolds(i: Int, j: Int, ei: Event, ej: Event): Boolean = {
-    val key = (math.min(i, j), math.max(i, j))
-    predsByPair.get(key) match {
-      case None        => true
-      case Some(preds) =>
-        // Orient each predicate: its `i` side is the event at position pred.i.
-        preds.forall { pr =>
-          val (a, b) = if (pr.i == i) (ei, ej) else (ej, ei)
-          pr.eval(a, b)
-        }
+    val k = pairIndex(i, j)
+    if (k < 0) return true
+    val preds = pairPreds(k)
+    var t = 0
+    while (t < preds.length) {
+      val pr = preds(t)
+      if (!(if (pr.i == i) pr.eval(ei, ej) else pr.eval(ej, ei))) return false
+      t += 1
     }
+    true
   }
 }
 

@@ -52,7 +52,7 @@ final class AdaptiveCepEngine(
   val counters = new AdaptiveCounters
 
   /** Active engines, oldest first, each tagged with its start timestamp. */
-  private final case class Live(engine: Engine, startTs: Long)
+  private final class Live(val engine: Engine, val startTs: Long) extends Serializable
   private var engines: Vector[Live] = Vector.empty
   private var _currentPlan: EvalPlan = _
   private var sinceDecision = 0
@@ -62,7 +62,7 @@ final class AdaptiveCepEngine(
     val pr = planner.generate(s0)
     _currentPlan = pr.plan
     decision.rearm(s0, pr.dcs)
-    engines = Vector(Live(makeEngine(pr.plan), Long.MinValue))
+    engines = Vector(new Live(makeEngine(pr.plan), Long.MinValue))
   }
 
   def currentPlan: EvalPlan = _currentPlan
@@ -134,7 +134,7 @@ final class AdaptiveCepEngine(
       if (better) {
         counters.replacements += 1
         _currentPlan = pr.plan
-        engines = engines :+ Live(makeEngine(pr.plan), now + 1)
+        engines = engines :+ new Live(makeEngine(pr.plan), now + 1)
       } else counters.fruitlessRuns += 1
       // Rearm regardless: baselines/invariants now reflect current stats.
       decision.rearm(stats, pr.dcs)

@@ -17,8 +17,8 @@ import scala.collection.mutable
   * enforced on every extension; expired history and dead partial matches are
   * pruned by watermark.
   */
-final class OrderEngine(val pattern: Pattern, val plan: OrderPlan, pruneEvery: Int = 128)
-    extends Engine {
+final class OrderEngine(pattern: Pattern, val plan: OrderPlan, pruneEvery: Int = 128)
+    extends Engine(pattern, pruneEvery) {
   require(plan.order.size == pattern.n)
 
   private val n = pattern.n
@@ -32,35 +32,18 @@ final class OrderEngine(val pattern: Pattern, val plan: OrderPlan, pruneEvery: I
 
   private val buffers = Array.fill(n)(new mutable.ArrayDeque[Event]) // per position, ts order
   private val pending = Array.fill(n)(new mutable.ArrayBuffer[PartialMatch]) // per step s >= 1
-  private var pmCount = 0L
-  private var sincePrune = 0
-
-  def partialMatchesCreated: Long = pmCount
 
   /** Can `e` at position `pos` legally extend `pm`? */
   private def compatible(pm: PartialMatch, e: Event, pos: Int): Boolean = {
     if (math.max(pm.maxTs, e.ts) - math.min(pm.minTs, e.ts) > pattern.window) return false
-    if (isSeq) {
-      var q = 0
-      while (q < n) {
-        val other = pm.events(q)
-        if (other != null) {
-          if (q < pos) { if (other.ts >= e.ts) return false }
-          else if (other.ts <= e.ts) return false
-        }
-        q += 1
-      }
-    }
-    val touching = pattern.predsTouching(pos)
-    var t = 0
-    while (t < touching.length) {
-      val (otherPos, pr) = touching(t)
-      val other = pm.events(otherPos)
+    var q = 0
+    while (q < n) {
+      val other = pm.events(q)
       if (other != null) {
-        val (a, b) = if (pr.i == pos) (e, other) else (other, e)
-        if (!pr.eval(a, b)) return false
+        if (isSeq && (if (q < pos) other.ts >= e.ts else other.ts <= e.ts)) return false
+        if (!pattern.pairHolds(pos, q, e, other)) return false
       }
-      t += 1
+      q += 1
     }
     true
   }
@@ -85,14 +68,7 @@ final class OrderEngine(val pattern: Pattern, val plan: OrderPlan, pruneEvery: I
     pending(step) += pm
   }
 
-  def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
-    val posOpt = pattern.typeToPos.get(e.etype)
-    if (posOpt.isEmpty) return
-    val pos = posOpt.get
-
-    sincePrune += 1
-    if (sincePrune >= pruneEvery) { prune(e.ts); sincePrune = 0 }
-
+  protected def onPosition(e: Event, pos: Int, out: mutable.Buffer[Array[Event]]): Unit = {
     val step = stepOf(pos)
     // Future-arrival path: extend parked partial matches awaiting this step.
     if (step > 0) {
@@ -116,12 +92,11 @@ final class OrderEngine(val pattern: Pattern, val plan: OrderPlan, pruneEvery: I
     buffers(pos).append(e)
   }
 
-  /** Drop expired history and partial matches that can no longer complete:
-    * any completion uses either buffered events (handled at creation) or
-    * future events with ts ≥ now, so `minTs < now − window` is dead.
+  /** Any completion of a parked partial match uses future events with
+    * ts ≥ now (buffered ones were joined at creation), so `minTs < horizon`
+    * is dead.
     */
-  private def prune(now: Long): Unit = {
-    val horizon = now - pattern.window
+  protected def prune(horizon: Long): Unit = {
     var p = 0
     while (p < n) {
       val buf = buffers(p)

@@ -18,8 +18,8 @@ import scala.collection.mutable
   * each side is internally ordered by induction), the window, and all
   * cross-predicates of the node.
   */
-final class TreeEngine(val pattern: Pattern, val plan: TreePlan, pruneEvery: Int = 128)
-    extends Engine {
+final class TreeEngine(pattern: Pattern, val plan: TreePlan, pruneEvery: Int = 128)
+    extends Engine(pattern, pruneEvery) {
 
   private val n = pattern.n
   private val isSeq = pattern.kind == PatternKind.Sequence
@@ -48,8 +48,6 @@ final class TreeEngine(val pattern: Pattern, val plan: TreePlan, pruneEvery: Int
   private val leafOf = new Array[RtNode](n)
   private val root: RtNode = build(plan.root)
   private val allNodes = collect(root)
-  private var pmCount = 0L
-  private var sincePrune = 0
 
   private def build(node: TreeNode): RtNode = node match {
     case LeafNode(p) =>
@@ -66,8 +64,6 @@ final class TreeEngine(val pattern: Pattern, val plan: TreePlan, pruneEvery: Int
   private def collect(rt: RtNode): Vector[RtNode] =
     if (rt.left == null) Vector(rt)
     else collect(rt.left) ++ collect(rt.right) :+ rt
-
-  def partialMatchesCreated: Long = pmCount
 
   /** Join compatibility of two partial matches at `node` (one from each
     * child; `lpm` from the left subtree).
@@ -124,19 +120,12 @@ final class TreeEngine(val pattern: Pattern, val plan: TreePlan, pruneEvery: Int
     }
   }
 
-  def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
-    val posOpt = pattern.typeToPos.get(e.etype)
-    if (posOpt.isEmpty) return
-    val pos = posOpt.get
-    sincePrune += 1
-    if (sincePrune >= pruneEvery) { prune(e.ts); sincePrune = 0 }
+  protected def onPosition(e: Event, pos: Int, out: mutable.Buffer[Array[Event]]): Unit = {
     pmCount += 1
     insert(leafOf(pos), PartialMatch.single(n, e, pos), out)
   }
 
   /** Partial matches older than the window cannot join any future arrival. */
-  private def prune(now: Long): Unit = {
-    val horizon = now - pattern.window
+  protected def prune(horizon: Long): Unit =
     allNodes.foreach(_.store.filterInPlace(_.minTs >= horizon))
-  }
 }

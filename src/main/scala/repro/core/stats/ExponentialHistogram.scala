@@ -19,14 +19,14 @@ final class ExponentialHistogram(val window: Long, val k: Int = 8) extends Seria
   /** One bucket: the timestamp of its most recent element and its size
     * (a power of two). Stored newest-first.
     */
-  private final case class Bucket(var latest: Long, var size: Long)
+  private final class Bucket(var latest: Long, var size: Long) extends Serializable
 
   private val buckets = new mutable.ArrayDeque[Bucket]
   private var total: Long = 0L
 
   /** Record one arrival at timestamp `ts` (timestamps must be non-decreasing). */
   def add(ts: Long): Unit = {
-    buckets.prepend(Bucket(ts, 1L))
+    buckets.prepend(new Bucket(ts, 1L))
     total += 1L
     mergeCascade()
     expire(ts)

@@ -31,9 +31,7 @@ object Stats {
     */
   def default(pattern: Pattern): Stats = {
     val n = pattern.n
-    val sel = Vector.tabulate(n, n) { (i, j) =>
-      if (i != j && pattern.predsByPair.contains((math.min(i, j), math.max(i, j)))) 0.5 else 1.0
-    }
+    val sel = Vector.tabulate(n, n)((i, j) => if (pattern.pairIndex(i, j) >= 0) 0.5 else 1.0)
     Stats(Vector.fill(n)(1.0 / n), sel)
   }
 }
@@ -72,9 +70,9 @@ final class StatisticsMonitor(
   private val ringLen = new Array[Int](n)
   private val ringNext = new Array[Int](n)
 
-  // EWMA selectivity per unordered predicate pair; NaN until first sample.
-  private val selEwma = scala.collection.mutable.Map.empty[(Int, Int), Double]
-  pattern.predicatePairs.foreach(p => selEwma(p) = Double.NaN)
+  // EWMA selectivity per predicate pair (by `pattern.pairIndex`); NaN until
+  // the first sample.
+  private val selEwma = Array.fill(pattern.predicatePairs.size)(Double.NaN)
 
   private var observed: Long = 0L
 
@@ -85,18 +83,17 @@ final class StatisticsMonitor(
       case Some(pos) =>
         observed += 1L
         rateHists(pos).add(e.ts)
-        // Selectivity sampling against each predicate partner position.
+        // Selectivity sampling: one partner draw per predicate touching `pos`.
         var t = 0
         val touching = pattern.predsTouching(pos)
         while (t < touching.length) {
           val otherPos = touching(t)._1
           if (ringLen(otherPos) > 0) {
             val partner = rings(otherPos)(rnd.nextInt(ringLen(otherPos)))
-            val holds = pattern.pairHolds(pos, otherPos, e, partner)
-            val key = (math.min(pos, otherPos), math.max(pos, otherPos))
-            val x = if (holds) 1.0 else 0.0
-            val prev = selEwma(key)
-            selEwma(key) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
+            val x = if (pattern.pairHolds(pos, otherPos, e, partner)) 1.0 else 0.0
+            val k = pattern.pairIndex(pos, otherPos)
+            val prev = selEwma(k)
+            selEwma(k) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
           }
           t += 1
         }
@@ -117,12 +114,10 @@ final class StatisticsMonitor(
       math.min(1.0, rateHists(p).estimate(now) / span)
     }
     val sel = Vector.tabulate(n, n) { (i, j) =>
-      if (i == j) 1.0
-      else selEwma.get((math.min(i, j), math.max(i, j))) match {
-        case Some(v) if !v.isNaN => math.max(1e-4, v) // avoid degenerate zero costs
-        case Some(_)             => 0.5
-        case None                => 1.0
-      }
+      val k = pattern.pairIndex(i, j)
+      if (k < 0) 1.0
+      else if (selEwma(k).isNaN) 0.5
+      else math.max(1e-4, selEwma(k)) // avoid degenerate zero costs
     }
     Stats(rates, sel)
   }

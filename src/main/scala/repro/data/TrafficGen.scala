@@ -75,7 +75,7 @@ object TrafficGen {
       val w0 = math.min(0.95, w(0) * osc)
       val lowScale = if (n == 1) 0.0 else (1.0 - w0) / (1.0 - w(0))
       // Draw a rank from the oscillation-adjusted zipf weights.
-      var u = rnd.nextDouble()
+      val u = rnd.nextDouble()
       var rank = 0
       var acc = w0
       while (rank < n - 1 && u >= acc) {

@@ -5,8 +5,8 @@ import repro.data.{StockGen, TrafficGen}
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
 
 /** Shared experiment harness reproducing the paper's evaluation (§5): each
-  * of Figures 5–9 is regenerated as a printed table by one bench suite /
-  * spark-submit job built on this harness.
+  * of Figures 5–9 is regenerated as a printed table by one bench suite
+  * built on this harness.
   *
   * A run feeds a deterministic synthetic event stream (traffic or stocks
   * regime, see `repro.data`) through the detection-adaptation loop and
@@ -71,18 +71,6 @@ object BenchHarness {
     gen = (n, count, seed) =>
       StockGen.events(n, count, stepEvery = 400, stepSigma = 0.10, driftSigma = 0.0, seed = seed),
   )
-
-  def algoName(a: AlgoKind): String = a match {
-    case AlgoKind.Greedy  => "greedy"
-    case AlgoKind.ZStream => "zstream"
-  }
-
-  def methodName(d: DecisionKind): String = d match {
-    case DecisionKind.Static          => "static"
-    case DecisionKind.Unconditional   => "unconditional"
-    case DecisionKind.Threshold(t)    => f"threshold(t=$t%.3f)"
-    case DecisionKind.Invariant(d0, k)=> f"invariant(d=$d0%.2f,K=$k)"
-  }
 
   final case class RunResult(
       events: Long, matches: Long, elapsedNs: Long,
@@ -170,14 +158,15 @@ object BenchHarness {
       DecisionKind.Invariant(dOpt, k),
     )
     lengths.flatMap { len =>
+      val pattern = ds.pattern(len)
       val static = runOne(ds, len, algo, DecisionKind.Static, nEvents, seed = seed)
       val staticThr = static.events.toDouble / (static.elapsedNs / 1e9)
       methods.map { dk =>
         val r = if (dk == DecisionKind.Static) static
                 else runOne(ds, len, algo, dk, nEvents, seed = seed)
         val thr = r.events.toDouble / (r.elapsedNs / 1e9)
-        Row(ds.name, algoName(algo), methodName(dk), len, r.events, r.matches,
-          thr, thr / staticThr, r.reopts, r.plannerRuns,
+        Row(ds.name, Cep.makePlanner(pattern, algo).name, Cep.makeDecision(pattern, dk).name,
+          len, r.events, r.matches, thr, thr / staticThr, r.reopts, r.plannerRuns,
           100.0 * r.nanosDA / r.elapsedNs)
       }
     }
@@ -199,8 +188,8 @@ object BenchHarness {
       ds_.map { d =>
         val r = runOne(ds, len, algo, DecisionKind.Invariant(d, k), nEvents, seed = seed)
         val thr = r.events.toDouble / (r.elapsedNs / 1e9)
-        Row(ds.name, algoName(algo), f"invariant(d=$d%.2f)", len, r.events, r.matches,
-          thr, Double.NaN, r.reopts, r.plannerRuns, 100.0 * r.nanosDA / r.elapsedNs)
+        Row(ds.name, Cep.makePlanner(ds.pattern(len), algo).name, f"invariant(d=$d%.2f)", len,
+          r.events, r.matches, thr, Double.NaN, r.reopts, r.plannerRuns, 100.0 * r.nanosDA / r.elapsedNs)
       }
     }
   }

@@ -45,11 +45,7 @@ object AdaptiveCepStream {
         (_: Int, it: Iterator[Event], state: GroupState[AdaptiveCepEngine]) =>
           val engine = state.getOption.getOrElse(Cep.makeEngine(pattern, cfg))
           val batch = it.toArray.sortBy(e => (e.ts, e.id))
-          val out = batch.iterator.flatMap { e =>
-            engine.onEvent(e).map { evs =>
-              CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
-            }
-          }.toVector
+          val out = batch.iterator.flatMap(e => engine.onEvent(e).map(CepMatch.of)).toVector
           state.update(engine)
           out.iterator
       }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import repro.core.{Event, Pattern}
 
 /** One detected pattern match: the matched events' ids and timestamps, in
@@ -8,12 +8,18 @@ import repro.core.{Event, Pattern}
   */
 final case class CepMatch(eventIds: Seq[Long], eventTs: Seq[Long], lastTs: Long)
 
+object CepMatch {
+  /** The match of `evs`, the matched events by pattern position. */
+  def of(evs: Array[Event]): CepMatch =
+    CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
+}
+
 /** Batch-mode CEP detection over a static `Dataset[Event]` using the Dataset
   * API: the stream is globally time-ordered (`repartition(1)` +
   * `sortWithinPartitions`) and the detection-adaptation loop runs inside
   * `mapPartitions`. CEP matching is order-sensitive, so parallelism is across
   * patterns / keyed sub-streams, not within one logical stream; this is the
-  * single-stream entry point used by the correctness oracle and the jobs.
+  * single-stream entry point used by the correctness oracle.
   */
 object CepBatch {
 
@@ -25,11 +31,7 @@ object CepBatch {
       .sortWithinPartitions($"ts", $"id")
       .mapPartitions { it =>
         val engine = Cep.makeEngine(pattern, cfg)
-        it.flatMap { e =>
-          engine.onEvent(e).map { evs =>
-            CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
-          }
-        }
+        it.flatMap(e => engine.onEvent(e).map(CepMatch.of))
       }
   }
 

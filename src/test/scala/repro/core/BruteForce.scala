@@ -12,11 +12,7 @@ object BruteForce {
     if (ts.max - ts.min > pattern.window) return false
     if (pattern.kind == PatternKind.Sequence &&
       !ts.zip(ts.tail).forall { case (a, b) => a < b }) return false
-    (0 until pattern.n).forall { i =>
-      (i + 1 until pattern.n).forall { j =>
-        pattern.pairHolds(i, j, evs(i), evs(j))
-      }
-    }
+    pattern.predicates.forall(pr => pr.eval(evs(pr.i), evs(pr.j)))
   }
 
   /** All matches as vectors of event ids in pattern-position order. */

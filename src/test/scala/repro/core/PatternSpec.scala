@@ -86,6 +86,27 @@ class PatternSpec extends AnyFunSuite {
     assert(p.predicatePairs == Vector((0, 3), (1, 2)))
   }
 
+  test("pairHolds is symmetric and equals the conjunction of the pair's predicates (random patterns)") {
+    val rnd = new scala.util.Random(23)
+    (1 to 300).foreach { _ =>
+      val n = 2 + rnd.nextInt(4)
+      val preds = Vector.fill(1 + rnd.nextInt(n * n)) {
+        val i = rnd.nextInt(n)
+        val j = (i + 1 + rnd.nextInt(n - 1)) % n
+        Predicate(i, j, rnd.nextInt(2), if (rnd.nextBoolean()) PredOp.Lt else PredOp.Gt)
+      }
+      val p = Pattern.conj(n, 10, preds)
+      val evs = Vector.tabulate(n)(q => ev(q, q, rnd.nextInt(3).toDouble, rnd.nextInt(3).toDouble))
+      for (i <- 0 until n; j <- 0 until n if i != j) {
+        val expected = preds
+          .filter(pr => pr.i == i && pr.j == j || pr.i == j && pr.j == i)
+          .forall(pr => pr.eval(evs(pr.i), evs(pr.j)))
+        assert(p.pairHolds(i, j, evs(i), evs(j)) == expected, s"$preds ($i,$j)")
+        assert(p.pairHolds(j, i, evs(j), evs(i)) == expected, s"$preds ($j,$i)")
+      }
+    }
+  }
+
   test("event attr accessor") {
     val e = ev(0, 0, 1.5, 2.5)
     assert(e.attr(0) == 1.5 && e.attr(1) == 2.5)

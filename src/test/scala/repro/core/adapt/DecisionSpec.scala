@@ -5,17 +5,17 @@ import repro.core.Pattern
 import repro.core.algo.{GreedyOrderPlanner, InvariantCond}
 import repro.core.stats.Stats
 
+/** Simple concrete condition for decision-level tests: rate(i) < rate(j). */
+private final case class RateCond(i: Int, j: Int, creationSlack: Double) extends InvariantCond {
+  def lhs(s: Stats): Double = s.rates(i)
+  def rhs(s: Stats): Double = s.rates(j)
+}
+
 class DecisionSpec extends AnyFunSuite {
 
   private val pattern = Pattern.seq(3, 100)
   private def stats(r0: Double, r1: Double, r2: Double): Stats =
     Stats(Vector(r0, r1, r2), Vector.tabulate(3, 3)((_, _) => 1.0))
-
-  /** Simple concrete condition for decision-level tests: rate(i) < rate(j). */
-  private final case class RateCond(i: Int, j: Int, creationSlack: Double) extends InvariantCond {
-    def lhs(s: Stats): Double = s.rates(i)
-    def rhs(s: Stats): Double = s.rates(j)
-  }
 
   test("static decision never fires") {
     val d = new StaticDecision

@@ -1,7 +1,7 @@
 package repro.core.algo
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Pattern, PredOp, Predicate}
+import repro.core.Pattern
 import repro.core.plan.{CostModel, OrderPlan}
 import repro.core.stats.Stats
 

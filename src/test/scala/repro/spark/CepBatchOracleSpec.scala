@@ -91,7 +91,6 @@ class CepBatchOracleSpec extends SparkSpec {
   }
 
   test("batch detect returns match timestamps in position order") {
-    val s = spark
     val p = Pattern.seq(3, 12, seq3Preds)
     val evs = BruteForce.randomStream(3, 120, 8)
     val rows = CepBatch.detect(eventsDF(evs), p, CepConfig()).collect()
