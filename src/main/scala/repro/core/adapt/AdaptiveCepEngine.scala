@@ -42,10 +42,10 @@ final class AdaptiveCepEngine(
     val pattern: Pattern,
     val planner: Planner,
     val decision: Decision,
-    val statPeriod: Int = 64,
-    statWindowFactor: Int = 4,
-    initialStats: Option[repro.core.stats.Stats] = None,
-    seed: Long = 17L,
+    val statPeriod: Int,
+    statWindowFactor: Int,
+    initialStats: Option[repro.core.stats.Stats],
+    seed: Long,
 ) extends Serializable {
 
   val monitor = new StatisticsMonitor(pattern, pattern.window.max(1L) * statWindowFactor, seed = seed)
@@ -60,16 +60,20 @@ final class AdaptiveCepEngine(
   locally {
     val s0 = initialStats.getOrElse(repro.core.stats.Stats.default(pattern))
     val pr = planner.generate(s0)
-    _currentPlan = pr.plan
+    deploy(pr.plan, Long.MinValue)
     decision.rearm(s0, pr.dcs)
-    engines = Vector(new Live(makeEngine(pr.plan), Long.MinValue))
   }
 
   def currentPlan: EvalPlan = _currentPlan
 
-  private def makeEngine(plan: EvalPlan): Engine = plan match {
-    case op: OrderPlan => new OrderEngine(pattern, op)
-    case tp: TreePlan  => new TreeEngine(pattern, tp)
+  /** Make `plan` current and start its engine, owning matches from `startTs`. */
+  private def deploy(plan: EvalPlan, startTs: Long): Unit = {
+    _currentPlan = plan
+    val engine = plan match {
+      case op: OrderPlan => new OrderEngine(pattern, op)
+      case tp: TreePlan  => new TreeEngine(pattern, tp)
+    }
+    engines = engines :+ new Live(engine, startTs)
   }
 
   private val scratch = new mutable.ArrayBuffer[Array[Event]]
@@ -133,8 +137,7 @@ final class AdaptiveCepEngine(
         planner.cost(pr.plan, stats) < planner.cost(_currentPlan, stats)
       if (better) {
         counters.replacements += 1
-        _currentPlan = pr.plan
-        engines = engines :+ new Live(makeEngine(pr.plan), now + 1)
+        deploy(pr.plan, now + 1)
       } else counters.fruitlessRuns += 1
       // Rearm regardless: baselines/invariants now reflect current stats.
       decision.rearm(stats, pr.dcs)

@@ -1,7 +1,7 @@
 package repro.core.algo
 
 import repro.core.Pattern
-import repro.core.plan.{CostModel, EvalPlan, OrderPlan}
+import repro.core.plan.{CostModel, OrderPlan}
 import repro.core.stats.Stats
 
 /** Deciding condition of the greedy order planner: with the already-selected
@@ -40,32 +40,21 @@ final class GreedyOrderPlanner(val pattern: Pattern) extends Planner {
   def name: String = "greedy"
 
   def generate(stats: Stats): PlanResult = {
-    val n = pattern.n
-    val remaining = scala.collection.mutable.TreeSet.tabulate(n)(identity)
-    val order = Vector.newBuilder[Int]
+    var remaining = Vector.range(0, pattern.n)
     var prefix = Vector.empty[Int]
     val dcs = Vector.newBuilder[Vector[InvariantCond]]
-
     while (remaining.nonEmpty) {
-      // Winner: minimal marginal cost, ties toward the lower index.
-      var best = -1
-      var bestCost = Double.PositiveInfinity
-      for (cand <- remaining) {
-        val c = CostModel.greedyStepCost(prefix, cand, stats)
-        if (c < bestCost) { best = cand; bestCost = c }
-      }
-      // The block's DCS: winner vs every other candidate still available.
-      val conds = (for (other <- remaining.iterator if other != best) yield {
-        val slack = CostModel.greedyStepCost(prefix, other, stats) - bestCost
-        GreedyCond(prefix, best, other, slack): InvariantCond
-      }).toVector.sortBy(_.creationSlack)
-      dcs += conds
-      order += best
-      remaining -= best
-      prefix = prefix :+ best
+      val costs = remaining.map(CostModel.greedyStepCost(prefix, _, stats))
+      // Winner: the first strict minimum, so ties go to the lower position.
+      val w = costs.indices.minBy(costs)(Ordering.Double.IeeeOrdering)
+      // The block's DCS: the winner against every other candidate, with the
+      // slacks of the very costs it was picked by.
+      dcs += remaining.indices.filter(_ != w).toVector
+        .map(k => GreedyCond(prefix, remaining(w), remaining(k), costs(k) - costs(w)))
+        .sortBy(_.creationSlack)
+      prefix :+= remaining(w)
+      remaining = remaining.patch(w, Nil, 1)
     }
-    PlanResult(OrderPlan(order.result()), dcs.result())
+    PlanResult(OrderPlan(prefix), dcs.result())
   }
-
-  def cost(plan: EvalPlan, stats: Stats): Double = CostModel.planCost(plan, stats)
 }

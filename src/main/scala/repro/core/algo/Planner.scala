@@ -1,6 +1,6 @@
 package repro.core.algo
 
-import repro.core.plan.EvalPlan
+import repro.core.plan.{CostModel, EvalPlan}
 import repro.core.stats.Stats
 
 /** A deciding condition `f(stat₁) < g(stat₂)` (paper §3.1): an inequality
@@ -44,8 +44,8 @@ trait Planner extends Serializable {
   /** Run `A` on the given statistics. */
   def generate(stats: Stats): PlanResult
 
-  /** Cost of a plan under this planner's cost model and the given stats —
-    * used by Algorithm 1's "if new_plan is better than curr_plan" test.
+  /** Cost of a plan under the shared cost model and the given stats — used
+    * by Algorithm 1's "if new_plan is better than curr_plan" test.
     */
-  def cost(plan: EvalPlan, stats: Stats): Double
+  def cost(plan: EvalPlan, stats: Stats): Double = CostModel.planCost(plan, stats)
 }

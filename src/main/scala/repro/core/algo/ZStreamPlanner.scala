@@ -26,16 +26,6 @@ import repro.core.stats.Stats
   */
 final case class TreeCostExpr(left: TreeNode, right: TreeNode) extends Serializable {
 
-  /** Sum of inner-node cardinalities of a frozen subtree shape — its cost
-    * minus the leaf-rate mass shared by every shape over the same range.
-    */
-  private def innerCost(node: TreeNode, stats: Stats): Double = node match {
-    case LeafNode(_) => 0.0
-    case InnerNode(l, r) =>
-      innerCost(l, stats) + innerCost(r, stats) +
-        CostModel.rangeCardinality(node.lo, node.hi, stats)
-  }
-
   /** Cost of this split *minus the terms common to every split of the same
     * range* (the leaf rates and the root cardinality). Both sides of a
     * deciding condition subtract identical quantities, so the d = 0
@@ -45,7 +35,8 @@ final case class TreeCostExpr(left: TreeNode, right: TreeNode) extends Serializa
     * dominates both sides, so even an extreme rate shift moves their ratio
     * by only a few percent (observed empirically on the traffic regime).
     */
-  def eval(stats: Stats): Double = innerCost(left, stats) + innerCost(right, stats)
+  def eval(stats: Stats): Double =
+    CostModel.innerCost(left, stats) + CostModel.innerCost(right, stats)
 }
 
 /** Deciding condition of the ZStream planner: for the final plan's node over
@@ -86,54 +77,33 @@ final class ZStreamPlanner(val pattern: Pattern) extends Planner {
 
   def generate(stats: Stats): PlanResult = {
     val n = pattern.n
-    // DP state per range [i, j]: best cost, best split, best tree.
-    val cost = Array.ofDim[Double](n, n)
-    val tree = Array.ofDim[TreeNode](n, n)
-
-    for (i <- 0 until n) {
-      cost(i)(i) = stats.rates(i)
-      tree(i)(i) = LeafNode(i)
-    }
+    // DP state per range [lo, hi]: the costs of the splits it compared
+    // (split s at index s - lo) and the best tree.
+    val splitCosts = Array.ofDim[Array[Double]](n, n)
+    val cost = Array.tabulate(n, n)((i, j) => if (i == j) stats.rates(i) else 0.0)
+    val tree = Array.tabulate[TreeNode](n, n)((i, j) => if (i == j) LeafNode(i) else null)
     for (len <- 2 to n; lo <- 0 to n - len) {
       val hi = lo + len - 1
       val card = CostModel.rangeCardinality(lo, hi, stats)
-      var bestCost = Double.PositiveInfinity
-      var bestTree: TreeNode = null
-      var s = lo
-      while (s < hi) {
-        val c = cost(lo)(s) + cost(s + 1)(hi) + card
-        if (c < bestCost) {
-          bestCost = c
-          bestTree = InnerNode(tree(lo)(s), tree(s + 1)(hi))
-        }
-        s += 1
-      }
-      cost(lo)(hi) = bestCost
-      tree(lo)(hi) = bestTree
+      val costs = Array.tabulate(hi - lo)(k => cost(lo)(lo + k) + cost(lo + k + 1)(hi) + card)
+      // The strictly lower cost wins; ties go to the leftmost split.
+      val s = lo + costs.indices.minBy(costs)(Ordering.Double.IeeeOrdering)
+      splitCosts(lo)(hi) = costs
+      cost(lo)(hi) = costs(s - lo)
+      tree(lo)(hi) = InnerNode(tree(lo)(s), tree(s + 1)(hi))
     }
+    def split(lo: Int, s: Int, hi: Int) = TreeCostExpr(tree(lo)(s), tree(s + 1)(hi))
 
+    // DCS per internal node of the final plan, leaves-to-root, with the
+    // slacks of the split costs the DP compared for the node's range.
     val root = tree(0)(n - 1)
-
-    def exprFor(lo: Int, s: Int, hi: Int): TreeCostExpr =
-      TreeCostExpr(left = tree(lo)(s), right = tree(s + 1)(hi))
-
-    // DCS per internal node of the final plan, leaves-to-root.
-    val innerNodes = root.nodesBottomUp.collect { case inn: InnerNode => inn }
-    val dcs = innerNodes.map { node =>
-      val lo = node.lo; val hi = node.hi
-      val chosenSplit = node.left.hi
-      val chosen = exprFor(lo, chosenSplit, hi)
-      val chosenCost = cost(lo)(chosenSplit) + cost(chosenSplit + 1)(hi) +
-        CostModel.rangeCardinality(lo, hi, stats)
-      (for (s <- lo until hi if s != chosenSplit) yield {
-        val other = exprFor(lo, s, hi)
-        val otherCost = cost(lo)(s) + cost(s + 1)(hi) +
-          CostModel.rangeCardinality(lo, hi, stats)
-        TreeCond(chosen, other, otherCost - chosenCost): InvariantCond
-      }).toVector.sortBy(_.creationSlack)
+    val dcs = root.nodesBottomUp.collect { case node: InnerNode =>
+      val (lo, hi, chosen) = (node.lo, node.hi, node.left.hi)
+      val costs = splitCosts(lo)(hi)
+      (lo until hi).filter(_ != chosen).toVector
+        .map(s => TreeCond(split(lo, chosen, hi), split(lo, s, hi), costs(s - lo) - cost(lo)(hi)))
+        .sortBy(_.creationSlack)
     }
     PlanResult(TreePlan(root), dcs)
   }
-
-  def cost(plan: EvalPlan, stats: Stats): Double = CostModel.planCost(plan, stats)
 }

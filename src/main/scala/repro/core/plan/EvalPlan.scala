@@ -25,7 +25,6 @@ sealed trait TreeNode extends Serializable {
   def lo: Int
   /** Highest pattern position covered by this subtree. */
   def hi: Int
-  def isLeaf: Boolean
   /** All nodes of the subtree, leaves first (bottom-up by range size). */
   def nodesBottomUp: Vector[TreeNode]
 }
@@ -33,7 +32,6 @@ sealed trait TreeNode extends Serializable {
 final case class LeafNode(pos: Int) extends TreeNode {
   def lo: Int = pos
   def hi: Int = pos
-  def isLeaf: Boolean = true
   def nodesBottomUp: Vector[TreeNode] = Vector(this)
   override def toString: String = pos.toString
 }
@@ -42,7 +40,6 @@ final case class InnerNode(left: TreeNode, right: TreeNode) extends TreeNode {
   require(left.hi + 1 == right.lo, "inner node must join adjacent position ranges")
   def lo: Int = left.lo
   def hi: Int = right.hi
-  def isLeaf: Boolean = false
   def nodesBottomUp: Vector[TreeNode] =
     (left.nodesBottomUp ++ right.nodesBottomUp :+ this).sortBy(n => n.hi - n.lo)
   override def toString: String = s"($left,$right)"
@@ -130,11 +127,20 @@ object CostModel {
   /** ZStream tree cost: leaf cost is the leaf's arrival rate; an inner node
     * costs `Cost(L) + Cost(R) + Card(L⋈R)` (paper §4.2).
     */
-  def treeCost(node: TreeNode, stats: Stats): Double = node match {
-    case LeafNode(p) => stats.rates(p)
-    case InnerNode(l, r) =>
-      treeCost(l, stats) + treeCost(r, stats) + rangeCardinality(node.lo, node.hi, stats)
-  }
+  def treeCost(node: TreeNode, stats: Stats): Double = subtreeCost(node, stats, stats.rates)
+
+  /** Sum of a subtree's inner-node cardinalities: its tree cost without the
+    * leaf rates.
+    */
+  def innerCost(node: TreeNode, stats: Stats): Double = subtreeCost(node, stats, _ => 0.0)
+
+  private def subtreeCost(node: TreeNode, stats: Stats, leafCost: Int => Double): Double =
+    node match {
+      case LeafNode(p) => leafCost(p)
+      case InnerNode(l, r) =>
+        subtreeCost(l, stats, leafCost) + subtreeCost(r, stats, leafCost) +
+          rangeCardinality(node.lo, node.hi, stats)
+    }
 
   /** Cost of an arbitrary plan under the model matching its planner. */
   def planCost(plan: EvalPlan, stats: Stats): Double = plan match {

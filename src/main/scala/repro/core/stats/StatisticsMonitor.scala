@@ -51,13 +51,11 @@ object Stats {
   * @param statWindow  sliding window (ticks) for rate estimation; typically a
   *                    few pattern windows long
   * @param ewmaAlpha   EWMA smoothing factor for selectivity estimates
-  * @param ringSize    per-position ring buffer capacity for partner sampling
   */
 final class StatisticsMonitor(
     val pattern: Pattern,
     val statWindow: Long,
     val ewmaAlpha: Double = 0.02,
-    val ringSize: Int = 48,
     seed: Long = 17L,
 ) extends Serializable {
   private val n = pattern.n
@@ -66,7 +64,7 @@ final class StatisticsMonitor(
   private val rateHists = Array.fill(n)(new ExponentialHistogram(statWindow))
 
   // Ring buffers of recent events per position, used to sample predicate pairs.
-  private val rings = Array.fill(n)(new Array[Event](ringSize))
+  private val rings = Array.fill(n)(new Array[Event](StatisticsMonitor.RingCapacity))
   private val ringLen = new Array[Int](n)
   private val ringNext = new Array[Int](n)
 
@@ -99,8 +97,8 @@ final class StatisticsMonitor(
         }
         // Ring insert after sampling so an event never pairs with itself.
         rings(pos)(ringNext(pos)) = e
-        ringNext(pos) = (ringNext(pos) + 1) % ringSize
-        if (ringLen(pos) < ringSize) ringLen(pos) += 1
+        ringNext(pos) = (ringNext(pos) + 1) % StatisticsMonitor.RingCapacity
+        if (ringLen(pos) < StatisticsMonitor.RingCapacity) ringLen(pos) += 1
     }
   }
 
@@ -121,4 +119,9 @@ final class StatisticsMonitor(
     }
     Stats(rates, sel)
   }
+}
+
+object StatisticsMonitor {
+  /** Per-position ring buffer capacity for partner sampling. */
+  private final val RingCapacity = 48
 }

@@ -17,7 +17,8 @@ import repro.core.adapt.AdaptiveCepEngine
   * Events are keyed by `keyOf` (logical sub-stream; CEP matching is
   * order-sensitive, so parallelism is per key) and ts-sorted within each
   * micro-batch; batches must arrive in event-time order per key, which holds
-  * for the in-order sources used here.
+  * for the in-order sources used here. On a static Dataset the whole group is
+  * one batch, which makes this also the batch operator ([[CepBatch]]).
   */
 object AdaptiveCepStream {
 

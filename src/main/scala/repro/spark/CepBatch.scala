@@ -14,26 +14,13 @@ object CepMatch {
     CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
 }
 
-/** Batch-mode CEP detection over a static `Dataset[Event]` using the Dataset
-  * API: the stream is globally time-ordered (`repartition(1)` +
-  * `sortWithinPartitions`) and the detection-adaptation loop runs inside
-  * `mapPartitions`. CEP matching is order-sensitive, so parallelism is across
-  * patterns / keyed sub-streams, not within one logical stream; this is the
-  * single-stream entry point used by the correctness oracle.
+/** Batch-mode CEP detection over a static `Dataset[Event]`: the streaming
+  * operator [[AdaptiveCepStream.detect]] run on a static Dataset, where
+  * `flatMapGroupsWithState` runs once per group over the whole group, sorted
+  * by `(ts, id)`. This is the single-stream entry point used by the
+  * correctness oracle.
   */
 object CepBatch {
-
-  def detect(events: Dataset[Event], pattern: Pattern, cfg: CepConfig): Dataset[CepMatch] = {
-    val spark = events.sparkSession
-    import spark.implicits._
-    events
-      .repartition(1)
-      .sortWithinPartitions($"ts", $"id")
-      .mapPartitions { it =>
-        val engine = Cep.makeEngine(pattern, cfg)
-        it.flatMap(e => engine.onEvent(e).map(CepMatch.of))
-      }
-  }
 
   /** Matches as a DataFrame with one `p<i>_id` column per pattern position —
     * the shape compared against the DuckDB oracle's n-way self-join.
@@ -42,7 +29,7 @@ object CepBatch {
     val spark = events.sparkSession
     import spark.implicits._
     import org.apache.spark.sql.functions.element_at
-    val m = detect(events, pattern, cfg)
+    val m = AdaptiveCepStream.detect(events, pattern, cfg)
     m.select((0 until pattern.n).map(i => element_at($"eventIds", i + 1).as(s"p${i}_id")): _*)
   }
 }

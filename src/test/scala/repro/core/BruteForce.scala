@@ -1,7 +1,7 @@
 package repro.core
 
-/** Reference semantics for pattern matching: exhaustive enumeration of all
-  * event combinations, used as ground truth for every engine test. A match is
+/** Reference semantics for pattern matching: enumeration of event
+  * combinations, used as ground truth for every engine test. A match is
   * one event per pattern position such that the window, the temporal operator
   * (SEQ/AND) and all predicates hold.
   */
@@ -15,14 +15,35 @@ object BruteForce {
     pattern.predicates.forall(pr => pr.eval(evs(pr.i), evs(pr.j)))
   }
 
-  /** All matches as vectors of event ids in pattern-position order. */
+  /** All matches as vectors of event ids in pattern-position order. The
+    * enumeration descends only into prefixes that can still match (ts span
+    * within the window and, for SEQ, strictly increasing ts); `valid` is the
+    * final filter, so the result equals [[exhaustiveMatches]].
+    */
   def matches(pattern: Pattern, events: Seq[Event]): Set[Vector[Long]] = {
-    val byPos = Vector.tabulate(pattern.n)(p => events.filter(_.etype == pattern.types(p)).toVector)
+    val byPos = byPosition(pattern, events)
+    val seq = pattern.kind == PatternKind.Sequence
+    def rec(pos: Int, acc: Vector[Event], minTs: Long, maxTs: Long): Iterator[Vector[Event]] =
+      if (pos == pattern.n) Iterator.single(acc)
+      else byPos(pos).iterator
+        .filter(e => math.max(maxTs, e.ts) - math.min(minTs, e.ts) <= pattern.window &&
+          (!seq || pos == 0 || e.ts > acc.last.ts))
+        .flatMap(e => rec(pos + 1, acc :+ e, math.min(minTs, e.ts), math.max(maxTs, e.ts)))
+    rec(0, Vector.empty, Long.MaxValue, Long.MinValue)
+      .filter(valid(pattern, _)).map(_.map(_.id)).toSet
+  }
+
+  /** All matches by exhaustive enumeration of every `|E_type|^n` combination. */
+  def exhaustiveMatches(pattern: Pattern, events: Seq[Event]): Set[Vector[Long]] = {
+    val byPos = byPosition(pattern, events)
     def rec(pos: Int, acc: Vector[Event]): Iterator[Vector[Event]] =
       if (pos == pattern.n) Iterator.single(acc)
       else byPos(pos).iterator.flatMap(e => rec(pos + 1, acc :+ e))
     rec(0, Vector.empty).filter(valid(pattern, _)).map(_.map(_.id)).toSet
   }
+
+  private def byPosition(pattern: Pattern, events: Seq[Event]): Vector[Vector[Event]] =
+    Vector.tabulate(pattern.n)(p => events.filter(_.etype == pattern.types(p)).toVector)
 
   /** Deterministic random event stream over types 0..nTypes-1 with ts = index. */
   def randomStream(nTypes: Int, count: Int, seed: Long): Vector[Event] = {

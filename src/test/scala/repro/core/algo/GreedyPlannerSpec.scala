@@ -98,6 +98,7 @@ class GreedyPlannerSpec extends AnyFunSuite {
       conds.foreach { c =>
         assert(c.lhs(stats) < c.rhs(stats), s"condition $c must hold at creation")
         assert(c.creationSlack >= 0)
+        assert(c.creationSlack == c.rhs(stats) - c.lhs(stats))
       }
       assert(conds.map(_.creationSlack) == conds.map(_.creationSlack).sorted)
     }

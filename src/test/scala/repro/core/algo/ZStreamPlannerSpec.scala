@@ -84,6 +84,11 @@ class ZStreamPlannerSpec extends AnyFunSuite {
         CostModel.treeCost(c.chosenExpr.right, stats) - leafMass
       assert(math.abs(c.lhs(stats) - lhsDirect) < 1e-12)
       assert(c.creationSlack >= -1e-12)
+      // The slack is the difference of the two full split costs the DP compared.
+      def full(e: TreeCostExpr) =
+        CostModel.treeCost(e.left, stats) + CostModel.treeCost(e.right, stats) +
+          CostModel.rangeCardinality(e.left.lo, e.right.hi, stats)
+      assert(c.creationSlack == full(c.otherExpr) - full(c.chosenExpr))
     }
   }
 

@@ -93,7 +93,7 @@ class CepBatchOracleSpec extends SparkSpec {
   test("batch detect returns match timestamps in position order") {
     val p = Pattern.seq(3, 12, seq3Preds)
     val evs = BruteForce.randomStream(3, 120, 8)
-    val rows = CepBatch.detect(eventsDF(evs), p, CepConfig()).collect()
+    val rows = AdaptiveCepStream.detect(eventsDF(evs), p, CepConfig()).collect()
     rows.foreach { m =>
       assert(m.eventTs == m.eventTs.sorted, s"SEQ match out of order: $m")
       assert(m.lastTs == m.eventTs.max)
