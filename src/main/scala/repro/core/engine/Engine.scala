@@ -1,65 +1,189 @@
 package repro.core.engine
 
-import repro.core.{Event, Pattern}
+import repro.core.{Event, Pattern, PatternKind}
 import scala.collection.mutable
 
-/** A partial match: events indexed by pattern position (`null` = unfilled),
-  * plus cached min/max timestamps for O(1) window checks.
+/** A partial match: events indexed by pattern position (`null` at positions
+  * it does not cover), plus cached min/max timestamps for O(1) window checks.
   */
-final class PartialMatch(
-    val events: Array[Event],
-    val filled: Int,
-    val minTs: Long,
-    val maxTs: Long,
-) extends Serializable {
+private[engine] final class PartialMatch(val events: Array[Event], val minTs: Long, val maxTs: Long)
+    extends Serializable
 
-  /** New partial match extended with `e` at position `pos`. */
-  def extended(e: Event, pos: Int): PartialMatch = {
-    val arr = events.clone()
-    arr(pos) = e
-    new PartialMatch(arr, filled + 1, math.min(minTs, e.ts), math.max(maxTs, e.ts))
+/** Node of an engine's binary join tree. Its store holds the (partial)
+  * matches over its `positions` in creation order: a leaf's events, an inner
+  * node's `PartialMatch`es.
+  */
+private[engine] sealed abstract class JoinNode extends Serializable {
+  val positions: Array[Int]
+  var parent: Inner = _
+  val store = new mutable.ArrayBuffer[AnyRef]
+
+  /** Drop stored items older than `horizon`: no future arrival joins them. */
+  def prune(horizon: Long): Unit = store.filterInPlace { x =>
+    val pm = Inner.pmOf(x)
+    (if (pm != null) pm.minTs else x.asInstanceOf[Event].ts) >= horizon
   }
 }
 
-object PartialMatch {
-  def single(n: Int, e: Event, pos: Int): PartialMatch = {
-    val arr = new Array[Event](n)
-    arr(pos) = e
-    new PartialMatch(arr, 1, e.ts, e.ts)
+/** Leaf: the raw events of one position; its arrivals count as partial
+  * matches iff `counted`.
+  */
+private[engine] final class Leaf(val pos: Int, val counted: Boolean) extends JoinNode {
+  val positions: Array[Int] = Array(pos)
+}
+
+/** Inner node: joins an item of one child with the stored items of the other
+  * and stores the partial matches (the root only until the engine emits them).
+  */
+private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val right: JoinNode)
+    extends JoinNode {
+  import Inner.{at, Holds, Ordered, pmOf}
+  left.parent = this
+  right.parent = this
+  val positions: Array[Int] = Array.concat(left.positions, right.positions)
+
+  // checks(f): what an item arriving at the left (f = 0) or right (f = 1)
+  // child must meet with a stored item of the other, as flat (kind, arriving
+  // position, stored position) triples. For SEQ, the positions adjacent in the
+  // union but on different sides must be `Ordered` (each side is ordered
+  // already, so these order the union); then the predicates on pairs spanning
+  // the children must hold.
+  private val checks: Array[Array[Int]] = {
+    val side = new Array[Int](pattern.n) // 0 left, 1 right, -1 neither
+    java.util.Arrays.fill(side, -1)
+    left.positions.foreach(side(_) = 0)
+    right.positions.foreach(side(_) = 1)
+    val covered = positions.clone()
+    java.util.Arrays.sort(covered)
+    val adjacent = if (pattern.kind != PatternKind.Sequence) Nil
+      else (1 until covered.length).map(k => (covered(k - 1), covered(k)))
+    def from(f: Int): Array[Int] = {
+      val flat = new mutable.ArrayBuilder.ofInt
+      val kinds = Seq(Ordered -> adjacent, Holds -> pattern.predicatePairs)
+      for ((kind, pairs) <- kinds; (i, j) <- pairs)
+        if (side(i) >= 0 && side(j) >= 0 && side(i) != side(j))
+          if (side(i) == f) flat += kind += i += j else flat += kind += j += i
+      flat.result()
+    }
+    Array(from(0), from(1))
+  }
+
+  /** Joins `item`, just stored at child `from`, with every stored item of the
+    * other child, and appends the partial matches to the store.
+    */
+  def join(from: JoinNode, item: AnyRef): Unit = {
+    val other = if (from eq left) right else left
+    val check = checks(if (from eq left) 0 else 1)
+    // Each item is split once: a partial match, or else (null and) a leaf's event.
+    val apm = pmOf(item)
+    val ae = if (apm == null) item.asInstanceOf[Event] else null
+    val aMin = if (apm != null) apm.minTs else ae.ts
+    val aMax = if (apm != null) apm.maxTs else ae.ts
+    var m = 0
+    while (m < other.store.length) {
+      val stored = other.store(m)
+      val spm = pmOf(stored)
+      val se = if (spm == null) stored.asInstanceOf[Event] else null
+      val lo = math.min(aMin, if (spm != null) spm.minTs else se.ts)
+      val hi = math.max(aMax, if (spm != null) spm.maxTs else se.ts)
+      var ok = hi - lo <= pattern.window
+      var t = 0
+      while (ok && t < check.length) {
+        val a = check(t + 1)
+        val s = check(t + 2)
+        val ea = at(apm, ae, a)
+        val es = at(spm, se, s)
+        ok = if (check(t) == Ordered) (if (a < s) ea.ts < es.ts else es.ts < ea.ts)
+          else pattern.pairHolds(a, s, ea, es)
+        t += 3
+      }
+      if (ok) {
+        val evs = new Array[Event](pattern.n)
+        from.positions.foreach(p => evs(p) = at(apm, ae, p))
+        other.positions.foreach(p => evs(p) = at(spm, se, p))
+        store += new PartialMatch(evs, lo, hi)
+      }
+      m += 1
+    }
   }
 }
 
-/** A pattern evaluation engine instantiated from an evaluation plan. Events
-  * must be fed in timestamp order; full matches (events by pattern position)
-  * are appended to `out`.
+private[engine] object Inner {
+  private final val Ordered = 0 // the two positions' ts are in position order
+  private final val Holds = 1   // every predicate on the two positions holds
+  def pmOf(x: AnyRef): PartialMatch = x match {
+    case pm: PartialMatch => pm
+    case _                => null
+  }
+  private def at(pm: PartialMatch, e: Event, p: Int): Event = if (pm != null) pm.events(p) else e
+}
+
+/** A pattern evaluation engine: a binary join tree over the pattern positions
+  * (ZStream [38]; an order plan of the lazy NFA [33] is the left-deep tree
+  * over its processing order). Events must be fed in timestamp order; full
+  * matches (events by pattern position) are appended to `out`.
   *
-  * The engine routes each pattern event to its position, and every
-  * `pruneEvery` pattern events first prunes at horizon `now − window`;
-  * subclasses supply the extension/join (`onPosition`) and store pruning
-  * (`prune`), and count the partial matches they create in `pmCount`.
+  * An arriving event is stored at its leaf and joined with the stored items of
+  * its sibling; each result is stored at the parent and joined in turn with
+  * the parent's sibling, up to the root, which emits. The older side of every
+  * join is a stored one, so each combination is produced exactly once. Every
+  * `PruneEvery` pattern events the stores are pruned at horizon `now − window`.
   */
-abstract class Engine(val pattern: Pattern, pruneEvery: Int) extends Serializable {
-  protected var pmCount = 0L
+abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) extends Serializable {
+  private var pmCount = 0L
   private var sincePrune = 0
+  private val nodes: List[JoinNode] = {
+    def all(node: JoinNode): List[JoinNode] = node match {
+      case in: Inner => in :: all(in.left) ::: all(in.right)
+      case leaf      => List(leaf)
+    }
+    all(root)
+  }
+  private val leafOf: Array[Leaf] = nodes.collect { case l: Leaf => l }.sortBy(_.pos).toArray
+  require(leafOf.map(_.pos).sameElements(0 until pattern.n),
+    "the join tree must have one leaf per pattern position")
 
   final def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
     val pos = pattern.typeToPos.getOrElse(e.etype, -1)
     if (pos < 0) return
     sincePrune += 1
-    if (sincePrune >= pruneEvery) { prune(e.ts - pattern.window); sincePrune = 0 }
-    onPosition(e, pos, out)
+    if (sincePrune >= Engine.PruneEvery) {
+      nodes.foreach(_.prune(e.ts - pattern.window))
+      sincePrune = 0
+    }
+    val leaf = leafOf(pos)
+    if (leaf.counted) pmCount += 1
+    if (leaf eq root) out += Array(e)
+    else {
+      leaf.store += e
+      propagate(leaf, e, out)
+    }
   }
 
-  /** Process event `e` of pattern position `pos`. */
-  protected def onPosition(e: Event, pos: Int, out: mutable.Buffer[Array[Event]]): Unit
-
-  /** Drop stored events and partial matches older than `horizon`: no
-    * future arrival can complete a match with them.
+  /** Join `item`, just stored at `node`, with its sibling's store; the results
+    * are stored at the parent and propagated, or emitted at the root.
     */
-  protected def prune(horizon: Long): Unit
+  private def propagate(node: JoinNode, item: AnyRef, out: mutable.Buffer[Array[Event]]): Unit = {
+    val parent = node.parent
+    val first = parent.store.length
+    parent.join(node, item)
+    pmCount += parent.store.length - first
+    var k = first
+    while (k < parent.store.length) {
+      val pm = parent.store(k).asInstanceOf[PartialMatch]
+      if (parent eq root) out += pm.events else propagate(parent, pm, out)
+      k += 1
+    }
+    if (parent eq root) parent.store.clear()
+  }
 
   /** Total partial matches materialized — the quantity the cost model
-    * predicts and the plans minimize.
+    * predicts and the plans minimize: every inner-node result, plus the
+    * arrivals at counted leaves.
     */
   final def partialMatchesCreated: Long = pmCount
+}
+
+object Engine {
+  private final val PruneEvery = 128
 }

@@ -76,7 +76,7 @@ object CostModel {
     total
   }
 
-  /** Marginal cost of appending position `cand` after `prefix` — the value
+  /** Marginal cost of adding position `cand` after `prefix` — the value
     * the greedy algorithm minimizes at each step (paper §4.1):
     * `r_cand × Π_{k∈prefix} sel(k, cand)`.
     */
