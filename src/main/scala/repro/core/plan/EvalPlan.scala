@@ -109,21 +109,6 @@ object CostModel {
     card
   }
 
-  /** Product of selectivities across the split `[lo..s] × [s+1..hi]`. */
-  def crossSelectivity(lo: Int, s: Int, hi: Int, stats: Stats): Double = {
-    var sel = 1.0
-    var i = lo
-    while (i <= s) {
-      var j = s + 1
-      while (j <= hi) {
-        sel *= stats.sel(i)(j)
-        j += 1
-      }
-      i += 1
-    }
-    sel
-  }
-
   /** ZStream tree cost: leaf cost is the leaf's arrival rate; an inner node
     * costs `Cost(L) + Cost(R) + Card(L⋈R)` (paper §4.2).
     */

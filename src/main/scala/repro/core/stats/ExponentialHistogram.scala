@@ -1,6 +1,6 @@
 package repro.core.stats
 
-import scala.collection.mutable
+import scala.annotation.tailrec
 
 /** Sliding-window counter after Datar, Gionis, Indyk & Motwani (SICOMP 2002),
   * the algorithm the paper cites ([26]) for maintaining stream statistics over
@@ -9,6 +9,12 @@ import scala.collection.mutable
   * Counts the number of arrivals whose timestamp lies in `(now - window, now]`
   * with relative error at most `1 / k` using `O(k log W)` buckets.
   *
+  * The buckets are stored as DGIM's levels: level `j` holds the buckets of
+  * size `2^j`, at most `k + 1` of them, each as the timestamp of its most
+  * recent element, oldest first. Every bucket of a level is older than every
+  * bucket of the levels below it, so levels `0..top` are non-empty and the
+  * oldest bucket is the first of level `top`.
+  *
   * @param window sliding window length in timestamp ticks
   * @param k      precision knob: at most `k + 1` buckets are kept per size;
   *               the estimate error is bounded by `1/k` of the true count
@@ -16,59 +22,51 @@ import scala.collection.mutable
 final class ExponentialHistogram(val window: Long, val k: Int = 8) extends Serializable {
   require(window > 0 && k >= 1)
 
-  /** One bucket: the timestamp of its most recent element and its size
-    * (a power of two). Stored newest-first.
-    */
-  private final class Bucket(var latest: Long, var size: Long) extends Serializable
-
-  private val buckets = new mutable.ArrayDeque[Bucket]
-  private var total: Long = 0L
+  private val slots = k + 2
+  // Level j's buckets are `latest(j * slots + i)` for `i < count(j)`.
+  private var latest = new Array[Long](0)
+  private var count = new Array[Int](0)
+  private var top = -1 // highest non-empty level; -1 when empty
+  private var total = 0L
 
   /** Record one arrival at timestamp `ts` (timestamps must be non-decreasing). */
   def add(ts: Long): Unit = {
-    buckets.prepend(new Bucket(ts, 1L))
     total += 1L
-    mergeCascade()
+    push(0, ts)
     expire(ts)
   }
 
-  /** Merge oldest pairs whenever more than `k + 1` buckets share a size. */
-  private def mergeCascade(): Unit = {
-    var size = 1L
-    var done = false
-    while (!done) {
-      // Find the oldest two buckets of `size`, counting occurrences.
-      var count = 0
-      var lastIdx = -1
-      var secondLastIdx = -1
-      var i = 0
-      while (i < buckets.length) {
-        if (buckets(i).size == size) {
-          count += 1
-          secondLastIdx = lastIdx
-          lastIdx = i
-        }
-        i += 1
-      }
-      if (count > k + 1) {
-        // Merge the two oldest buckets of this size into one of double size;
-        // the merged bucket keeps the newer `latest` of the two (the element
-        // timestamps it covers are older, so this is the standard DGIM rule).
-        val newer = buckets(secondLastIdx)
-        buckets.remove(lastIdx)
-        newer.size = size * 2
-        size *= 2 // the doubled size may now overflow its own budget
-      } else done = true
+  /** Append a bucket of size `2^level`. A level that reaches `k + 2` buckets
+    * merges its two oldest into one bucket of the next level, which keeps the
+    * newer timestamp of the two; this carries up like a binary counter.
+    */
+  @tailrec private def push(level: Int, ts: Long): Unit = {
+    if (level == count.length) {
+      latest = java.util.Arrays.copyOf(latest, (level + 1) * slots)
+      count = java.util.Arrays.copyOf(count, level + 1)
+    }
+    latest(level * slots + count(level)) = ts
+    count(level) += 1
+    top = math.max(top, level)
+    if (count(level) == slots) {
+      val merged = latest(level * slots + 1)
+      dropOldest(level, 2)
+      push(level + 1, merged)
     }
   }
 
-  /** Drop buckets that lie entirely outside the window ending at `now`. */
-  private def expire(now: Long): Unit = {
-    while (buckets.nonEmpty && buckets.last.latest <= now - window) {
-      total -= buckets.last.size
-      buckets.removeLast()
-    }
+  private def dropOldest(level: Int, m: Int): Unit = {
+    count(level) -= m
+    System.arraycopy(latest, level * slots + m, latest, level * slots, count(level))
   }
+
+  /** Drop buckets that lie entirely outside the window ending at `now`. */
+  private def expire(now: Long): Unit =
+    while (top >= 0 && latest(top * slots) <= now - window) {
+      total -= 1L << top
+      dropOldest(top, 1)
+      if (count(top) == 0) top -= 1
+    }
 
   /** Approximate count of arrivals in `(now - window, now]`. Per DGIM the
     * oldest surviving bucket may straddle the window edge, so half its size is
@@ -76,11 +74,11 @@ final class ExponentialHistogram(val window: Long, val k: Int = 8) extends Seria
     */
   def estimate(now: Long): Double = {
     expire(now)
-    if (buckets.isEmpty) 0.0
-    else if (buckets.length == 1) buckets.head.size.toDouble
-    else total.toDouble - buckets.last.size.toDouble / 2.0
+    if (top < 0) 0.0
+    else if (top == 0 && count(0) == 1) 1.0 // one bucket left
+    else total.toDouble - (1L << top).toDouble / 2.0
   }
 
   /** Number of buckets currently held (exposed for space-bound tests). */
-  def bucketCount: Int = buckets.length
+  def bucketCount: Int = count.sum
 }

@@ -61,9 +61,9 @@ class CostModelSpec extends AnyFunSuite {
     test(s"cardinality is shape-independent: Card(L)*Card(R)*SEL(L,R) == Card(range) (n=$n seed=$seed)") {
       val s = randomStats(n, seed)
       for (split <- 0 until n - 1) {
+        val cross = (for (i <- 0 to split; j <- split + 1 until n) yield s.sel(i)(j)).product
         val viaSplit = CostModel.rangeCardinality(0, split, s) *
-          CostModel.rangeCardinality(split + 1, n - 1, s) *
-          CostModel.crossSelectivity(0, split, n - 1, s)
+          CostModel.rangeCardinality(split + 1, n - 1, s) * cross
         val direct = CostModel.rangeCardinality(0, n - 1, s)
         assert(math.abs(viaSplit - direct) < 1e-12 * math.max(1.0, direct))
       }

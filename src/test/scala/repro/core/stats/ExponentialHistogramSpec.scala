@@ -1,12 +1,27 @@
 package repro.core.stats
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.lang.Double.doubleToRawLongBits
+
 import org.scalatest.funsuite.AnyFunSuite
 
-/** DGIM exponential histogram: accuracy, expiry and space bounds. */
+/** DGIM exponential histogram: accuracy, expiry, space bounds, and exact
+  * agreement with the deque reference [[DequeHistogram]].
+  */
 class ExponentialHistogramSpec extends AnyFunSuite {
 
   private def exactCount(arrivals: Seq[Long], now: Long, window: Long): Long =
     arrivals.count(ts => ts > now - window && ts <= now)
+
+  /** Java serialization round trip, as Spark stores the monitor per micro-batch. */
+  private def roundTrip(eh: ExponentialHistogram): ExponentialHistogram = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(eh)
+    out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[ExponentialHistogram]
+  }
 
   test("empty histogram estimates zero") {
     val eh = new ExponentialHistogram(100)
@@ -81,6 +96,42 @@ class ExponentialHistogramSpec extends AnyFunSuite {
       val exact = exactCount(arrivals, ts, window)
       val est = eh.estimate(ts)
       assert(math.abs(est - exact) <= exact.toDouble / k + 1.0)
+    }
+  }
+
+  test("property: estimate and bucketCount equal the deque reference, also across serialization") {
+    val rnd = new scala.util.Random(6)
+    for (trial <- 1 to 300) {
+      val window = 1L + rnd.nextInt(5000)
+      val k = 1 + rnd.nextInt(9)
+      // Per trial: how often a timestamp repeats, how often it jumps by up
+      // to two windows, and the largest ordinary gap.
+      val repeat = rnd.nextDouble() * 0.5
+      val jump = rnd.nextDouble() * 0.01
+      val maxGap = 1 + rnd.nextInt(8)
+      val steps = 2000
+      val roundTripAt = Set(rnd.nextInt(steps), rnd.nextInt(steps))
+      var eh = new ExponentialHistogram(window, k)
+      val ref = new DequeHistogram(window, k)
+      def check(now: Long, step: Int): Unit = {
+        val (got, want) = (eh.estimate(now), ref.estimate(now))
+        assert(doubleToRawLongBits(got) == doubleToRawLongBits(want) && eh.bucketCount == ref.bucketCount,
+          s"trial=$trial window=$window k=$k step=$step now=$now: " +
+            s"estimate $got vs $want, buckets ${eh.bucketCount} vs ${ref.bucketCount}")
+      }
+      var ts = 0L
+      for (step <- 0 until steps) {
+        if (roundTripAt(step)) eh = roundTrip(eh)
+        val u = rnd.nextDouble()
+        ts += (if (u < jump) rnd.nextLong(2 * window + 1) else if (u < jump + repeat) 0L else 1L + rnd.nextInt(maxGap))
+        eh.add(ts)
+        ref.add(ts)
+        check(ts, step)
+        if (rnd.nextInt(20) == 0) { // a later query; the stream resumes from it
+          ts += rnd.nextLong(window + window / 2 + 1)
+          check(ts, step)
+        }
+      }
     }
   }
 }
