@@ -80,15 +80,6 @@ final case class Pattern(
     predicates.filter(p => p.i == i && p.j == j || p.i == j && p.j == i).toArray
   }.toArray
 
-  /** Predicates touching a given position, paired with the other position. */
-  val predsTouching: Vector[Vector[(Int, Predicate)]] =
-    Vector.tabulate(n) { p =>
-      predicates.collect {
-        case pr if pr.i == p => (pr.j, pr)
-        case pr if pr.j == p => (pr.i, pr)
-      }
-    }
-
   /** Index of the unordered pair {i, j} in `predicatePairs`, or -1 when no
     * predicate relates the two positions (always for `i == j`).
     */

@@ -76,7 +76,8 @@ final class AdaptiveCepEngine(
     engines = engines :+ new Live(engine, startTs)
   }
 
-  private val scratch = new mutable.ArrayBuffer[Array[Event]]
+  // The matches of the event being processed; reused across events.
+  private val out = new mutable.ArrayBuffer[Array[Event]]
 
   /** Process one event; returns the full matches it completed (events by
     * pattern position).
@@ -92,23 +93,26 @@ final class AdaptiveCepEngine(
       engines = engines.tail
     }
 
-    val out = mutable.ArrayBuffer.empty[Array[Event]]
+    out.clear()
     var k = 0
     while (k < engines.length) {
-      scratch.clear()
-      engines(k).engine.onEvent(e, scratch)
+      val from = out.length
+      engines(k).engine.onEvent(e, out)
       // Engine k owns matches whose earliest event precedes the next engine's
-      // start; the newest engine owns everything it produces.
+      // start; the newest engine owns everything it produces. Its unowned
+      // matches are dropped from `out` in place, keeping the order.
       val bound = if (k + 1 < engines.length) engines(k + 1).startTs else Long.MaxValue
-      var m = 0
-      while (m < scratch.length) {
-        val evs = scratch(m)
+      var kept = from
+      var m = from
+      while (m < out.length) {
+        val evs = out(m)
         var minTs = Long.MaxValue
         var q = 0
         while (q < evs.length) { if (evs(q).ts < minTs) minTs = evs(q).ts; q += 1 }
-        if (minTs < bound) out += evs
+        if (minTs < bound) { out(kept) = evs; kept += 1 }
         m += 1
       }
+      out.dropRightInPlace(out.length - kept)
       k += 1
     }
     counters.matches += out.length
@@ -118,7 +122,7 @@ final class AdaptiveCepEngine(
       sinceDecision = 0
       maybeReoptimize(e.ts)
     }
-    out.toSeq
+    if (out.isEmpty) Nil else out.toSeq
   }
 
   /** One iteration of Algorithm 1's adaptation branch. */

@@ -4,8 +4,10 @@ import repro.core.Pattern
 import repro.core.plan._
 import repro.core.stats.Stats
 
-/** One side of a ZStream deciding condition: the cost of combining the two
-  * subtrees of a candidate split of range [lo, hi].
+/** Deciding condition of the ZStream planner: for the final plan's node over
+  * [lo, hi], the chosen split was cheaper than an alternative split of the
+  * same range (`Cost(T₁) < Cost(T₂)`, paper §4.2). `chosen` and `other` are
+  * the two candidate trees for the range.
   *
   * The subtree *shapes* are frozen at plan-creation time (the DP is never
   * re-run inside `D` — the core of the paper's §4.2 recursion-elimination),
@@ -23,36 +25,26 @@ import repro.core.stats.Stats
   * if `cost(chosen shapes) ≥ cost(other shapes)` under current statistics,
   * the DP cannot reproduce the current plan unchanged (it either prefers the
   * other split or improves a subtree — both change the plan).
+  *
+  * Each side is the split's cost *minus the terms common to every split of
+  * the same range* (the leaf rates and the root cardinality): the sum of its
+  * two subtrees' inner-node cardinalities. Both sides subtract identical
+  * quantities, so the d = 0 comparison is unchanged — but the distance-d
+  * margin now applies to the genuinely differing part. Comparing full tree
+  * costs instead would dilute any relative margin below usefulness: the
+  * shared additive mass dominates both sides, so even an extreme rate shift
+  * moves their ratio by only a few percent (observed empirically on the
+  * traffic regime).
   */
-final case class TreeCostExpr(left: TreeNode, right: TreeNode) extends Serializable {
+final case class TreeCond(chosen: InnerNode, other: InnerNode, creationSlack: Double)
+    extends InvariantCond {
+  def lhs(stats: Stats): Double = splitCost(chosen, stats)
+  def rhs(stats: Stats): Double = splitCost(other, stats)
 
-  /** Cost of this split *minus the terms common to every split of the same
-    * range* (the leaf rates and the root cardinality). Both sides of a
-    * deciding condition subtract identical quantities, so the d = 0
-    * comparison is unchanged — but the distance-d margin now applies to the
-    * genuinely differing part. Comparing full tree costs instead would
-    * dilute any relative margin below usefulness: the shared additive mass
-    * dominates both sides, so even an extreme rate shift moves their ratio
-    * by only a few percent (observed empirically on the traffic regime).
-    */
-  def eval(stats: Stats): Double =
-    CostModel.innerCost(left, stats) + CostModel.innerCost(right, stats)
-}
+  private def splitCost(split: InnerNode, stats: Stats): Double =
+    CostModel.innerCost(split.left, stats) + CostModel.innerCost(split.right, stats)
 
-/** Deciding condition of the ZStream planner: for the final plan's node over
-  * [lo, hi], the chosen split was cheaper than an alternative split of the
-  * same range (`Cost(T₁) < Cost(T₂)`, paper §4.2).
-  */
-final case class TreeCond(
-    chosenExpr: TreeCostExpr,
-    otherExpr: TreeCostExpr,
-    creationSlack: Double,
-) extends InvariantCond {
-  def lhs(stats: Stats): Double = chosenExpr.eval(stats)
-  def rhs(stats: Stats): Double = otherExpr.eval(stats)
-
-  override def toString: String =
-    s"cost(${chosenExpr.left},${chosenExpr.right}) < cost(${otherExpr.left},${otherExpr.right})"
+  override def toString: String = s"cost$chosen < cost$other"
 }
 
 /** The ZStream dynamic-programming algorithm for tree-based plan generation
@@ -92,7 +84,6 @@ final class ZStreamPlanner(val pattern: Pattern) extends Planner {
       cost(lo)(hi) = costs(s - lo)
       tree(lo)(hi) = InnerNode(tree(lo)(s), tree(s + 1)(hi))
     }
-    def split(lo: Int, s: Int, hi: Int) = TreeCostExpr(tree(lo)(s), tree(s + 1)(hi))
 
     // DCS per internal node of the final plan, leaves-to-root, with the
     // slacks of the split costs the DP compared for the node's range.
@@ -101,7 +92,7 @@ final class ZStreamPlanner(val pattern: Pattern) extends Planner {
       val (lo, hi, chosen) = (node.lo, node.hi, node.left.hi)
       val costs = splitCosts(lo)(hi)
       (lo until hi).filter(_ != chosen).toVector
-        .map(s => TreeCond(split(lo, chosen, hi), split(lo, s, hi), costs(s - lo) - cost(lo)(hi)))
+        .map(s => TreeCond(node, InnerNode(tree(lo)(s), tree(s + 1)(hi)), costs(s - lo) - cost(lo)(hi)))
         .sortBy(_.creationSlack)
     }
     PlanResult(TreePlan(root), dcs)

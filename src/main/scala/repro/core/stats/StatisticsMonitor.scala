@@ -41,11 +41,13 @@ object Stats {
   *
   * Rates are maintained with one [[ExponentialHistogram]] per pattern position
   * (Datar et al. [26], as used by the paper). Selectivities are maintained
-  * with one exponentially-weighted moving average per predicate pair, updated
-  * on each arrival by pairing the new event with a uniformly sampled recent
-  * partner from the other position's ring buffer — a constant-work-per-event
-  * approximation of the sliding-window selectivity estimators the paper
-  * cites ([13]).
+  * with one exponentially-weighted moving average per predicate pair. On each
+  * arrival, every predicate touching the arriving position (in `predicates`
+  * order) draws its own uniformly sampled recent partner from the other
+  * position's ring buffer and moves its pair's EWMA by the joint outcome of
+  * all the pair's predicates; a pair with two predicates is thus updated twice
+  * per arrival. This is a constant-work-per-event approximation of the
+  * sliding-window selectivity estimators the paper cites ([13]).
   *
   * @param pattern     monitored pattern
   * @param statWindow  sliding window (ticks) for rate estimation; typically a
@@ -76,30 +78,29 @@ final class StatisticsMonitor(
 
   /** Feed one event. Events of types outside the pattern are ignored. */
   def observe(e: Event): Unit = {
-    pattern.typeToPos.get(e.etype) match {
-      case None => ()
-      case Some(pos) =>
-        observed += 1L
-        rateHists(pos).add(e.ts)
-        // Selectivity sampling: one partner draw per predicate touching `pos`.
-        var t = 0
-        val touching = pattern.predsTouching(pos)
-        while (t < touching.length) {
-          val otherPos = touching(t)._1
-          if (ringLen(otherPos) > 0) {
-            val partner = rings(otherPos)(rnd.nextInt(ringLen(otherPos)))
-            val x = if (pattern.pairHolds(pos, otherPos, e, partner)) 1.0 else 0.0
-            val k = pattern.pairIndex(pos, otherPos)
-            val prev = selEwma(k)
-            selEwma(k) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
-          }
-          t += 1
-        }
-        // Ring insert after sampling so an event never pairs with itself.
-        rings(pos)(ringNext(pos)) = e
-        ringNext(pos) = (ringNext(pos) + 1) % StatisticsMonitor.RingCapacity
-        if (ringLen(pos) < StatisticsMonitor.RingCapacity) ringLen(pos) += 1
+    val pos = pattern.typeToPos.getOrElse(e.etype, -1)
+    if (pos < 0) return
+    observed += 1L
+    rateHists(pos).add(e.ts)
+    // Selectivity sampling: one partner draw per predicate touching `pos`.
+    val preds = pattern.predicates
+    var t = 0
+    while (t < preds.length) {
+      val pr = preds(t)
+      val otherPos = if (pr.i == pos) pr.j else if (pr.j == pos) pr.i else -1
+      if (otherPos >= 0 && ringLen(otherPos) > 0) {
+        val partner = rings(otherPos)(rnd.nextInt(ringLen(otherPos)))
+        val x = if (pattern.pairHolds(pos, otherPos, e, partner)) 1.0 else 0.0
+        val k = pattern.pairIndex(pos, otherPos)
+        val prev = selEwma(k)
+        selEwma(k) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
+      }
+      t += 1
     }
+    // Ring insert after sampling so an event never pairs with itself.
+    rings(pos)(ringNext(pos)) = e
+    ringNext(pos) = (ringNext(pos) + 1) % StatisticsMonitor.RingCapacity
+    if (ringLen(pos) < StatisticsMonitor.RingCapacity) ringLen(pos) += 1
   }
 
   /** Total pattern-relevant events observed so far. */

@@ -51,22 +51,21 @@ object BenchHarness {
     Pattern.seq(n, window,
       (0 until n - 1).map(i => Predicate(i, i + 1, attr = 0, PredOp.Lt)).toVector)
 
-  /** Dataset registry: name → (event generator, pattern factory, window). */
+  /** Dataset registry: name → (event generator, pattern factory). */
   final case class DatasetSpec(
       name: String,
-      window: Long,
       pattern: Int => Pattern,
       gen: (Int, Int, Long) => IndexedSeq[Event], // (nTypes, count, seed)
   )
 
   val traffic: DatasetSpec = DatasetSpec(
-    "traffic", window = 300,
+    "traffic",
     pattern = n => trafficPattern(n, 300),
     gen = (n, count, seed) => TrafficGen.events(n, count, epochs = 4, seed = seed),
   )
 
   val stocks: DatasetSpec = DatasetSpec(
-    "stocks", window = 150,
+    "stocks",
     pattern = n => stockPattern(n, 150),
     gen = (n, count, seed) =>
       StockGen.events(n, count, stepEvery = 400, stepSigma = 0.10, driftSigma = 0.0, seed = seed),
@@ -74,7 +73,7 @@ object BenchHarness {
 
   final case class RunResult(
       events: Long, matches: Long, elapsedNs: Long,
-      reopts: Long, plannerRuns: Long, nanosDA: Long, partialMatches: Long)
+      reopts: Long, plannerRuns: Long, nanosDA: Long)
 
   /** One-time JVM warm-up so JIT compilation of the hot engine/planner paths
     * does not bias whichever measured run happens to execute first.
@@ -89,6 +88,11 @@ object BenchHarness {
     true
   }
 
+  // Events of each run that only feed the statistics monitor, before timing;
+  // and timed runs per cell, of which the fastest is reported.
+  private final val Warmup = 2000
+  private final val Reps = 2
+
   /** Run one (dataset, length, algo, method) cell. The same `seed` produces
     * the same event stream for every method, so comparisons are paired.
     */
@@ -98,32 +102,30 @@ object BenchHarness {
       algo: AlgoKind,
       decision: DecisionKind,
       nEvents: Int,
-      warmup: Int = 2000,
       seed: Long = 7L,
-      reps: Int = 2,
   ): RunResult = {
     require(jitWarmed)
     val pattern = ds.pattern(len)
-    val all = ds.gen(len, warmup + nEvents, seed)
+    val all = ds.gen(len, Warmup + nEvents, seed)
     // Warm-up prefix: statistics only — gives A its initial in_stat, untimed.
     val warmMonitor = new repro.core.stats.StatisticsMonitor(
       pattern, pattern.window * 4)
     var i = 0
-    while (i < warmup) { warmMonitor.observe(all(i)); i += 1 }
-    val warmStats = warmMonitor.snapshot(all(warmup - 1).ts)
+    while (i < Warmup) { warmMonitor.observe(all(i)); i += 1 }
+    val warmStats = warmMonitor.snapshot(all(Warmup - 1).ts)
 
-    // Best-of-`reps` wall time (fresh engine per rep, identical stream):
+    // Best-of-`Reps` wall time (fresh engine per rep, identical stream):
     // standard microbenchmark hygiene against GC/JIT/scheduler noise.
     var best: RunResult = null
     var rep = 0
-    while (rep < reps) {
+    while (rep < Reps) {
       val timed = Cep.makeEngine(pattern, CepConfig(algo, decision), Some(warmStats))
       i = 0
-      while (i < warmup) { timed.monitor.observe(all(i)); i += 1 }
+      while (i < Warmup) { timed.monitor.observe(all(i)); i += 1 }
       System.gc()
       val t0 = System.nanoTime()
       var m = 0L
-      i = warmup
+      i = Warmup
       while (i < all.length) {
         m += timed.onEvent(all(i)).length
         i += 1
@@ -131,7 +133,7 @@ object BenchHarness {
       val elapsed = System.nanoTime() - t0
       val c = timed.counters
       val r = RunResult(c.events, m, elapsed, c.replacements, c.plannerRuns,
-        c.nanosInDecision + c.nanosInPlanner, timed.partialMatchesCreated)
+        c.nanosInDecision + c.nanosInPlanner)
       if (best == null || r.elapsedNs < best.elapsedNs) best = r
       rep += 1
     }

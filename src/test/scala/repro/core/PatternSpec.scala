@@ -72,14 +72,6 @@ class PatternSpec extends AnyFunSuite {
     assert(!p.pairHolds(0, 1, ev(0, 0, 3.0, 5.0), ev(1, 1, 2.0, 4.0))) // a0 fails
   }
 
-  test("predsTouching lists predicates for both endpoints") {
-    val pr = Predicate(0, 2, 0, PredOp.Lt)
-    val p = Pattern.seq(3, 10, Vector(pr))
-    assert(p.predsTouching(0) == Vector((2, pr)))
-    assert(p.predsTouching(2) == Vector((0, pr)))
-    assert(p.predsTouching(1).isEmpty)
-  }
-
   test("predicatePairs normalized and sorted") {
     val p = Pattern.seq(4, 10, Vector(
       Predicate(2, 1, 0, PredOp.Lt), Predicate(0, 3, 0, PredOp.Gt)))

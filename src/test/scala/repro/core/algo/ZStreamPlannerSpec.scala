@@ -78,17 +78,14 @@ class ZStreamPlannerSpec extends AnyFunSuite {
       assert(c.lhs(stats) <= c.rhs(stats) + 1e-12, s"$c must hold at creation")
       // eval == tree cost of the split minus the split-invariant terms
       // (leaf rates; the root cardinality is likewise excluded on both sides).
-      val leafMass =
-        (c.chosenExpr.left.lo to c.chosenExpr.right.hi).map(stats.rates).sum
-      val lhsDirect = CostModel.treeCost(c.chosenExpr.left, stats) +
-        CostModel.treeCost(c.chosenExpr.right, stats) - leafMass
+      val leafMass = (c.chosen.lo to c.chosen.hi).map(stats.rates).sum
+      val lhsDirect = CostModel.treeCost(c.chosen.left, stats) +
+        CostModel.treeCost(c.chosen.right, stats) - leafMass
       assert(math.abs(c.lhs(stats) - lhsDirect) < 1e-12)
       assert(c.creationSlack >= -1e-12)
       // The slack is the difference of the two full split costs the DP compared.
-      def full(e: TreeCostExpr) =
-        CostModel.treeCost(e.left, stats) + CostModel.treeCost(e.right, stats) +
-          CostModel.rangeCardinality(e.left.lo, e.right.hi, stats)
-      assert(c.creationSlack == full(c.otherExpr) - full(c.chosenExpr))
+      assert(c.creationSlack ==
+        CostModel.treeCost(c.other, stats) - CostModel.treeCost(c.chosen, stats))
     }
   }
 

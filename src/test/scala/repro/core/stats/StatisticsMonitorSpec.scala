@@ -93,6 +93,15 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     assert(hi > 0.8 && lo < 0.2, s"hi=$hi lo=$lo")
   }
 
+  test("two predicates on one pair each update the pair's EWMA once per arrival") {
+    val p = Pattern.seq(2, 100, Vector(Predicate(0, 1, 0, PredOp.Lt), Predicate(0, 1, 1, PredOp.Lt)))
+    val mon = new StatisticsMonitor(p, statWindow = 100, ewmaAlpha = 0.5)
+    mon.observe(Event(0, 0, 1, 1, 1))
+    mon.observe(Event(1, 1, 0, 0, 0)) // holds: EWMA 1, then 1
+    mon.observe(Event(2, 2, 0, 5, 5)) // fails: EWMA 0.5, then 0.25
+    assert(mon.snapshot(2).sel(0)(1) == 0.25)
+  }
+
   test("events of types outside the pattern are ignored") {
     val p = Pattern.seq(2, 100)
     val mon = new StatisticsMonitor(p, statWindow = 100)

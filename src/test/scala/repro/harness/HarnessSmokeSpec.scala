@@ -20,7 +20,7 @@ class HarnessSmokeSpec extends AnyFunSuite {
 
   test("runOne produces sane counters on a small run") {
     val r = BenchHarness.runOne(BenchHarness.traffic, len = 3, AlgoKind.Greedy,
-      DecisionKind.Invariant(0.1, 1), nEvents = 3000, warmup = 500)
+      DecisionKind.Invariant(0.1, 1), nEvents = 3000)
     assert(r.events == 3000)
     assert(r.elapsedNs > 0)
     assert(r.plannerRuns >= r.reopts)
