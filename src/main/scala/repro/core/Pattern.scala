@@ -58,10 +58,8 @@ final case class Pattern(
   /** Number of primitive events in the pattern (the paper's pattern size n). */
   val n: Int = types.size
 
-  /** Map from event type to its pattern position; events of other types are
-    * ignored by the engines.
-    */
-  val typeToPos: Map[Int, Int] = types.zipWithIndex.toMap
+  /** Event type → pattern position, -1 for the types the pattern ignores. */
+  val typeToPos: TypeTable = new TypeTable(types)
 
   /** All unordered position pairs that carry at least one predicate, each
     * with its smaller position first, in sorted order.
@@ -101,6 +99,28 @@ final case class Pattern(
     }
     true
   }
+}
+
+/** Event type → position of `types`, or -1 for any other type: open
+  * addressing over (type, position + 1) int pairs, so routing an event
+  * neither boxes nor allocates. Any `Int` is a valid type.
+  */
+final class TypeTable(types: Vector[Int]) extends Serializable {
+  // 2^bits ≥ 2·types pairs, so every probe reaches a free pair (position + 1 = 0).
+  private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 2 * types.size - 1))
+  private val slots = new Array[Int](2 << bits)
+  for (p <- types.indices) { val s = probe(types(p)); slots(s) = types(p); slots(s + 1) = p + 1 }
+
+  /** Index of the pair holding `etype`, or of the free pair where it would go. */
+  private def probe(etype: Int): Int = {
+    var h = (etype * 0x9E3779B9) >>> (32 - bits) // Fibonacci hashing
+    while (slots(2 * h + 1) != 0 && slots(2 * h) != etype) h = (h + 1) & ((1 << bits) - 1)
+    2 * h
+  }
+
+  /** Position of `etype`, or -1 when the pattern does not use it. */
+  def apply(etype: Int): Int = slots(probe(etype) + 1) - 1
+  def contains(etype: Int): Boolean = apply(etype) >= 0
 }
 
 object Pattern {

@@ -40,32 +40,27 @@ final class UnconditionalDecision extends Decision {
 /** Constant-threshold method of ZStream [38]: `D` returns true iff any
   * monitored value deviates from its value at the last rearm by at least `t`
   * (absolute deviation, as in the paper's running example; every monitored
-  * value here lives in [0,1]).
+  * value here lives in [0,1]). Before the first rearm the baseline is the
+  * default `Stat` of the pattern.
   */
 final class ThresholdDecision(val pattern: Pattern, val t: Double) extends Decision {
   def name = s"threshold(t=$t)"
-  private var baseline: Option[Vector[Double]] = None
+  private var baseline: Array[Double] = Stats.default(pattern).monitoredValues
   private var checks = 0L
 
   def shouldReoptimize(stats: Stats): Boolean = {
-    val curr = stats.monitoredValues(pattern)
-    baseline match {
-      case None =>
-        baseline = Some(curr); false
-      case Some(base) =>
-        var i = 0
-        var fire = false
-        while (i < curr.length && !fire) {
-          checks += 1
-          if (math.abs(curr(i) - base(i)) >= t) fire = true
-          i += 1
-        }
-        fire
+    val curr = stats.monitoredValues
+    var i = 0
+    while (i < curr.length) {
+      checks += 1
+      if (math.abs(curr(i) - baseline(i)) >= t) return true
+      i += 1
     }
+    false
   }
 
   override def rearm(stats: Stats, dcs: Vector[Vector[InvariantCond]]): Unit =
-    baseline = Some(stats.monitoredValues(pattern))
+    baseline = stats.monitoredValues
 
   override def checksPerformed: Long = checks
 }

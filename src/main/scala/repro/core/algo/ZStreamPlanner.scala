@@ -72,7 +72,7 @@ final class ZStreamPlanner(val pattern: Pattern) extends Planner {
     // DP state per range [lo, hi]: the costs of the splits it compared
     // (split s at index s - lo) and the best tree.
     val splitCosts = Array.ofDim[Array[Double]](n, n)
-    val cost = Array.tabulate(n, n)((i, j) => if (i == j) stats.rates(i) else 0.0)
+    val cost = Array.tabulate(n, n)((i, j) => if (i == j) stats.rate(i) else 0.0)
     val tree = Array.tabulate[TreeNode](n, n)((i, j) => if (i == j) LeafNode(i) else null)
     for (len <- 2 to n; lo <- 0 to n - len) {
       val hi = lo + len - 1

@@ -47,25 +47,26 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
   // position, stored position) triples. For SEQ, the positions adjacent in the
   // union but on different sides must be `Ordered` (each side is ordered
   // already, so these order the union); then the predicates on pairs spanning
-  // the children must hold.
+  // the children must hold. Each spanning pair enters both, arriving position first.
   private val checks: Array[Array[Int]] = {
     val side = new Array[Int](pattern.n) // 0 left, 1 right, -1 neither
     java.util.Arrays.fill(side, -1)
-    left.positions.foreach(side(_) = 0)
-    right.positions.foreach(side(_) = 1)
-    val covered = positions.clone()
-    java.util.Arrays.sort(covered)
-    val adjacent = if (pattern.kind != PatternKind.Sequence) Nil
-      else (1 until covered.length).map(k => (covered(k - 1), covered(k)))
-    def from(f: Int): Array[Int] = {
-      val flat = new mutable.ArrayBuilder.ofInt
-      val kinds = Seq(Ordered -> adjacent, Holds -> pattern.predicatePairs)
-      for ((kind, pairs) <- kinds; (i, j) <- pairs)
-        if (side(i) >= 0 && side(j) >= 0 && side(i) != side(j))
-          if (side(i) == f) flat += kind += i += j else flat += kind += j += i
-      flat.result()
+    var k = 0
+    while (k < positions.length) { side(positions(k)) = if (k < left.positions.length) 0 else 1; k += 1 }
+    val flat = Array(new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt)
+    def spanning(kind: Int, i: Int, j: Int): Unit =
+      if (side(i) >= 0 && side(j) >= 0 && side(i) != side(j)) {
+        flat(side(i)) += kind += i += j
+        flat(side(j)) += kind += j += i
+      }
+    var prev = -1
+    var p = 0
+    while (p < pattern.n) {
+      if (side(p) >= 0) { if (prev >= 0 && pattern.kind == PatternKind.Sequence) spanning(Ordered, prev, p); prev = p }
+      p += 1
     }
-    Array(from(0), from(1))
+    pattern.predicatePairs.foreach(ij => spanning(Holds, ij._1, ij._2))
+    Array(flat(0).result(), flat(1).result())
   }
 
   /** Joins `item`, just stored at child `from`, with every stored item of the
@@ -139,12 +140,17 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     }
     all(root)
   }
-  private val leafOf: Array[Leaf] = nodes.collect { case l: Leaf => l }.sortBy(_.pos).toArray
-  require(leafOf.map(_.pos).sameElements(0 until pattern.n),
-    "the join tree must have one leaf per pattern position")
+  private val leafOf: Array[Leaf] = {
+    val leaves = new Array[Leaf](pattern.n)
+    nodes.foreach { case l: Leaf if l.pos >= 0 && l.pos < pattern.n => leaves(l.pos) = l; case _ => }
+    // 2n − 1 nodes make n leaves, so no empty slot means one leaf per position.
+    require(nodes.length == 2 * pattern.n - 1 && !leaves.contains(null),
+      "the join tree must have one leaf per pattern position")
+    leaves
+  }
 
   final def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
-    val pos = pattern.typeToPos.getOrElse(e.etype, -1)
+    val pos = pattern.typeToPos(e.etype)
     if (pos < 0) return
     sincePrune += 1
     if (sincePrune >= Engine.PruneEvery) {

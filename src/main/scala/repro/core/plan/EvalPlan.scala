@@ -64,10 +64,10 @@ object CostModel {
     var i = 0
     while (i < order.length) {
       val p = order(i)
-      prod *= stats.rates(p)
+      prod *= stats.rate(p)
       var k = 0
       while (k < i) {
-        prod *= stats.sel(order(k))(p)
+        prod *= stats.sel(order(k), p)
         k += 1
       }
       total += prod
@@ -81,10 +81,10 @@ object CostModel {
     * `r_cand × Π_{k∈prefix} sel(k, cand)`.
     */
   def greedyStepCost(prefix: Vector[Int], cand: Int, stats: Stats): Double = {
-    var c = stats.rates(cand)
+    var c = stats.rate(cand)
     var k = 0
     while (k < prefix.length) {
-      c *= stats.sel(prefix(k))(cand)
+      c *= stats.sel(prefix(k), cand)
       k += 1
     }
     c
@@ -98,10 +98,10 @@ object CostModel {
     var card = 1.0
     var i = lo
     while (i <= hi) {
-      card *= stats.rates(i)
+      card *= stats.rate(i)
       var j = i + 1
       while (j <= hi) {
-        card *= stats.sel(i)(j)
+        card *= stats.sel(i, j)
         j += 1
       }
       i += 1
@@ -112,7 +112,7 @@ object CostModel {
   /** ZStream tree cost: leaf cost is the leaf's arrival rate; an inner node
     * costs `Cost(L) + Cost(R) + Card(L⋈R)` (paper §4.2).
     */
-  def treeCost(node: TreeNode, stats: Stats): Double = subtreeCost(node, stats, stats.rates)
+  def treeCost(node: TreeNode, stats: Stats): Double = subtreeCost(node, stats, stats.rate)
 
   /** Sum of a subtree's inner-node cardinalities: its tree cost without the
     * leaf rates.

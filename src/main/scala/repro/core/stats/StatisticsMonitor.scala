@@ -2,26 +2,35 @@ package repro.core.stats
 
 import repro.core.{Event, Pattern}
 
-/** Immutable snapshot of the monitored statistics (`Stat` in the paper):
-  * per-position arrival rates and per-pair predicate selectivities.
+/** Immutable snapshot of the monitored statistics (`Stat` in the paper): one
+  * arrival rate per pattern position and one selectivity per predicate pair.
   *
-  * `rates(p)` is the arrival rate of the event type at pattern position `p`,
+  * `rate(p)` is the arrival rate of the event type at pattern position `p`,
   * expressed as a fraction of the (single, multiplexed) input stream, i.e. a
-  * value in [0,1]. `sel(i)(j)` is the selectivity of the conjunction of
-  * predicates defined between positions `i` and `j` (1.0 when no predicate is
-  * defined; symmetric).
+  * value in [0,1]. `sel(i, j)` is the selectivity of the conjunction of the
+  * predicates between positions `i` and `j`, stored once per predicate pair at
+  * `pattern.pairIndex`, so it is symmetric, and 1.0 on pairs without one. The
+  * snapshot owns its arrays and never writes them.
   */
-final case class Stats(rates: Vector[Double], sel: Vector[Vector[Double]])
+final class Stats(val pattern: Pattern, rates: Array[Double], sels: Array[Double])
     extends Serializable {
-  def n: Int = rates.size
+  require(rates.length == pattern.n && sels.length == pattern.predicatePairs.size)
 
-  /** Flat view of every monitored value — what a constant-threshold decision
-    * function iterates over ("this function loops over all values in
-    * curr_stat", paper §2.3). Pairs without predicates are constant 1.0 and
-    * excluded (they are not *monitored*).
+  def n: Int = rates.length
+  def rate(p: Int): Double = rates(p)
+  def sel(i: Int, j: Int): Double = { val k = pattern.pairIndex(i, j); if (k < 0) 1.0 else sels(k) }
+
+  /** Every monitored value — what a constant-threshold decision function
+    * iterates over ("this function loops over all values in curr_stat",
+    * paper §2.3): the rates, then the selectivities in `predicatePairs` order.
     */
-  def monitoredValues(pattern: Pattern): Vector[Double] =
-    rates ++ pattern.predicatePairs.map { case (i, j) => sel(i)(j) }
+  def monitoredValues: Array[Double] = {
+    val all = java.util.Arrays.copyOf(rates, rates.length + sels.length)
+    System.arraycopy(sels, 0, all, rates.length, sels.length)
+    all
+  }
+
+  override def toString: String = s"Stats(rates ${rates.mkString(", ")}; sels ${sels.mkString(", ")})"
 }
 
 object Stats {
@@ -29,11 +38,8 @@ object Stats {
     * "default, empty Stat"): uniform rates, selectivity 1/2 on predicate
     * pairs.
     */
-  def default(pattern: Pattern): Stats = {
-    val n = pattern.n
-    val sel = Vector.tabulate(n, n)((i, j) => if (pattern.pairIndex(i, j) >= 0) 0.5 else 1.0)
-    Stats(Vector.fill(n)(1.0 / n), sel)
-  }
+  def default(pattern: Pattern): Stats =
+    new Stats(pattern, Array.fill(pattern.n)(1.0 / pattern.n), Array.fill(pattern.predicatePairs.size)(0.5))
 }
 
 /** On-the-fly estimator of [[Stats]] (the "statistics collector" box of the
@@ -78,7 +84,7 @@ final class StatisticsMonitor(
 
   /** Feed one event. Events of types outside the pattern are ignored. */
   def observe(e: Event): Unit = {
-    val pos = pattern.typeToPos.getOrElse(e.etype, -1)
+    val pos = pattern.typeToPos(e.etype)
     if (pos < 0) return
     observed += 1L
     rateHists(pos).add(e.ts)
@@ -109,16 +115,14 @@ final class StatisticsMonitor(
   /** Current statistics estimate at time `now`. */
   def snapshot(now: Long): Stats = {
     val span = math.min(statWindow, math.max(1L, now)).toDouble
-    val rates = Vector.tabulate(n) { p =>
-      math.min(1.0, rateHists(p).estimate(now) / span)
-    }
-    val sel = Vector.tabulate(n, n) { (i, j) =>
-      val k = pattern.pairIndex(i, j)
-      if (k < 0) 1.0
-      else if (selEwma(k).isNaN) 0.5
-      else math.max(1e-4, selEwma(k)) // avoid degenerate zero costs
-    }
-    Stats(rates, sel)
+    val rates = new Array[Double](n)
+    var p = 0
+    while (p < n) { rates(p) = math.min(1.0, rateHists(p).estimate(now) / span); p += 1 }
+    // Unsampled pairs are neutral; the floor avoids degenerate zero costs.
+    val sels = selEwma.clone()
+    var k = 0
+    while (k < sels.length) { sels(k) = if (sels(k).isNaN) 0.5 else math.max(1e-4, sels(k)); k += 1 }
+    new Stats(pattern, rates, sels)
   }
 }
 

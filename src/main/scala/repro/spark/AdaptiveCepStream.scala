@@ -5,6 +5,17 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 import repro.core.{Event, Pattern}
 import repro.core.adapt.AdaptiveCepEngine
 
+/** One detected pattern match: the matched events' ids and timestamps, in
+  * pattern-position order, plus the completion timestamp.
+  */
+final case class CepMatch(eventIds: Seq[Long], eventTs: Seq[Long], lastTs: Long)
+
+object CepMatch {
+  /** The match of `evs`, the matched events by pattern position. */
+  def of(evs: Array[Event]): CepMatch =
+    CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
+}
+
 /** Adaptive CEP plan-switching as a Structured Streaming operator.
   *
   * The whole detection-adaptation loop (paper Algorithm 1) — statistics
@@ -18,16 +29,9 @@ import repro.core.adapt.AdaptiveCepEngine
   * order-sensitive, so parallelism is per key) and ts-sorted within each
   * micro-batch; batches must arrive in event-time order per key, which holds
   * for the in-order sources used here. On a static Dataset the whole group is
-  * one batch, which makes this also the batch operator ([[CepBatch]]).
+  * one batch, sorted by `(ts, id)`, which makes this also the batch operator.
   */
 object AdaptiveCepStream {
-
-  /** Java-serialization encoder for the engine state: robust across the
-    * mutable engine internals (ring buffers, deques, RNG), at a cost that is
-    * irrelevant at test scale.
-    */
-  private def stateEncoder: Encoder[AdaptiveCepEngine] =
-    Encoders.javaSerialization(classOf[AdaptiveCepEngine])
 
   def detect(
       events: Dataset[Event],
@@ -37,7 +41,7 @@ object AdaptiveCepStream {
   ): Dataset[CepMatch] = {
     val spark = events.sparkSession
     import spark.implicits._
-    implicit val stEnc: Encoder[AdaptiveCepEngine] = stateEncoder
+    implicit val stEnc: Encoder[AdaptiveCepEngine] = Encoders.javaSerialization(classOf[AdaptiveCepEngine])
 
     events
       .groupByKey(keyOf)

@@ -39,7 +39,19 @@ class PatternSpec extends AnyFunSuite {
 
   test("typeToPos maps types to positions") {
     val p = Pattern(PatternKind.Sequence, Vector(7, 3, 9), Vector.empty, 10)
-    assert(p.typeToPos == Map(7 -> 0, 3 -> 1, 9 -> 2))
+    assert(Vector(7, 3, 9, 0, 8).map(p.typeToPos(_)) == Vector(0, 1, 2, -1, -1))
+    assert(p.typeToPos.contains(3) && !p.typeToPos.contains(4))
+  }
+
+  test("typeToPos routes negative, large and sparse type ids") {
+    val rnd = new scala.util.Random(5)
+    (1 to 200).foreach { _ =>
+      val types = Vector.fill(1 + rnd.nextInt(9))(rnd.nextInt() >> rnd.nextInt(32)).distinct
+      val p = Pattern(PatternKind.Conjunction, types, Vector.empty, 10)
+      types.indices.foreach(q => assert(p.typeToPos(types(q)) == q, s"$types"))
+      val others = Seq(0, -1, 1, Int.MinValue, Int.MaxValue) ++ Seq.fill(50)(rnd.nextInt())
+      others.filterNot(types.contains).foreach(t => assert(p.typeToPos(t) == -1, s"$types $t"))
+    }
   }
 
   test("predicate evaluation respects operator and attribute index") {

@@ -131,8 +131,7 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
   }
 
   test("initial plan comes from the provided initial statistics") {
-    val stats = repro.core.stats.Stats(Vector(0.7, 0.2, 0.1),
-      Vector.tabulate(3, 3)((_, _) => 1.0))
+    val stats = repro.core.stats.TestStats.of(pattern3, 0.7, 0.2, 0.1)
     val eng = Cep.makeEngine(pattern3, CepConfig(AlgoKind.Greedy, DecisionKind.Static),
       Some(stats))
     assert(eng.currentPlan == OrderPlan(Vector(2, 1, 0)))

@@ -1,21 +1,20 @@
 package repro.core.adapt
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Pattern
+import repro.core.{Pattern, PredOp, Predicate}
 import repro.core.algo.{GreedyOrderPlanner, InvariantCond}
-import repro.core.stats.Stats
+import repro.core.stats.{Stats, TestStats}
 
 /** Simple concrete condition for decision-level tests: rate(i) < rate(j). */
 private final case class RateCond(i: Int, j: Int, creationSlack: Double) extends InvariantCond {
-  def lhs(s: Stats): Double = s.rates(i)
-  def rhs(s: Stats): Double = s.rates(j)
+  def lhs(s: Stats): Double = s.rate(i)
+  def rhs(s: Stats): Double = s.rate(j)
 }
 
 class DecisionSpec extends AnyFunSuite {
 
   private val pattern = Pattern.seq(3, 100)
-  private def stats(r0: Double, r1: Double, r2: Double): Stats =
-    Stats(Vector(r0, r1, r2), Vector.tabulate(3, 3)((_, _) => 1.0))
+  private def stats(r0: Double, r1: Double, r2: Double): Stats = TestStats.of(pattern, r0, r1, r2)
 
   test("static decision never fires") {
     val d = new StaticDecision
@@ -29,11 +28,16 @@ class DecisionSpec extends AnyFunSuite {
     assert(d.shouldReoptimize(stats(0.9, 0.05, 0.05)))
   }
 
-  test("threshold decision adopts the first snapshot as baseline without firing") {
+  test("an un-armed threshold decision compares against the default Stat") {
     val d = new ThresholdDecision(pattern, 0.1)
-    assert(!d.shouldReoptimize(stats(0.5, 0.3, 0.2)))
-    // Same stats again → no deviation.
-    assert(!d.shouldReoptimize(stats(0.5, 0.3, 0.2)))
+    assert(!d.shouldReoptimize(Stats.default(pattern)))
+    assert(!d.shouldReoptimize(stats(0.4, 0.3, 0.3)))  // every |Δ| < t from 1/3
+    assert(d.shouldReoptimize(stats(0.5, 0.3, 0.2)))   // 0.5 − 1/3 ≥ t
+    // The default of a pattern with predicates holds 0.5 per predicate pair.
+    val withPred = Pattern.seq(3, 100, Vector(Predicate(0, 1, 0, PredOp.Lt)))
+    val p = new ThresholdDecision(withPred, 0.1)
+    assert(!p.shouldReoptimize(TestStats.of(withPred, 1.0 / 3, 1.0 / 3, 1.0 / 3, 0.45)))
+    assert(p.shouldReoptimize(TestStats.of(withPred, 1.0 / 3, 1.0 / 3, 1.0 / 3, 0.65)))
   }
 
   test("threshold decision fires on deviation ≥ t in any monitored value") {

@@ -1,27 +1,14 @@
 package repro.core.algo
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Pattern
+import repro.core.{Pattern, PredOp, Predicate}
 import repro.core.plan.{CostModel, OrderPlan}
 import repro.core.stats.Stats
+import repro.core.stats.TestStats.{of, pairwise, randomStats}
 
 class GreedyPlannerSpec extends AnyFunSuite {
 
-  private def noPredStats(rates: Double*): Stats = {
-    val n = rates.size
-    Stats(rates.toVector, Vector.tabulate(n, n)((_, _) => 1.0))
-  }
-
-  private def randomStats(n: Int, seed: Long): Stats = {
-    val rnd = new scala.util.Random(seed)
-    val rates = Vector.fill(n)(0.02 + rnd.nextDouble() * 0.9)
-    val symm = Array.fill(n, n)(1.0)
-    for (i <- 0 until n; j <- i + 1 until n) {
-      val s = 0.05 + rnd.nextDouble() * 0.9
-      symm(i)(j) = s; symm(j)(i) = s
-    }
-    Stats(rates, Vector.tabulate(n, n)((i, j) => symm(i)(j)))
-  }
+  private def noPredStats(rates: Double*): Stats = of(Pattern.seq(rates.size, 100), rates: _*)
 
   test("Example 1: rates (A=100, B=15, C=10)/125 yield order C,B,A") {
     val p = Pattern.seq(3, 100)
@@ -65,8 +52,8 @@ class GreedyPlannerSpec extends AnyFunSuite {
       // cost-minimal order in most random instances; assert it is never worse
       // than 1.5x optimal and exactly optimal when the margin is clear.
       val n = 3
-      val stats = randomStats(n, seed)
-      val p = Pattern.seq(n, 100)
+      val p = pairwise(n)
+      val stats = randomStats(p, new scala.util.Random(seed))
       val r = new GreedyOrderPlanner(p).generate(stats)
       val got = CostModel.orderCost(r.plan.asInstanceOf[OrderPlan].order, stats)
       val best = (0 until n).permutations.map(o => CostModel.orderCost(o.toVector, stats)).min
@@ -75,8 +62,8 @@ class GreedyPlannerSpec extends AnyFunSuite {
   }
 
   test("deterministic: same stats give the identical plan and DCS structure") {
-    val stats = randomStats(5, 99)
-    val p = Pattern.seq(5, 100)
+    val p = pairwise(5)
+    val stats = randomStats(p, new scala.util.Random(99))
     val planner = new GreedyOrderPlanner(p)
     val r1 = planner.generate(stats)
     val r2 = planner.generate(stats)
@@ -86,14 +73,14 @@ class GreedyPlannerSpec extends AnyFunSuite {
 
   test("DCS sizes shrink by one per step (n-1, n-2, …, 0)") {
     val n = 6
-    val stats = randomStats(n, 5)
-    val r = new GreedyOrderPlanner(Pattern.seq(n, 100)).generate(stats)
+    val stats = randomStats(pairwise(n), new scala.util.Random(5))
+    val r = new GreedyOrderPlanner(stats.pattern).generate(stats)
     assert(r.dcs.map(_.size) == (1 until n).reverse.map(identity) :+ 0)
   }
 
   test("DCS conditions hold at creation and are sorted tightest-first") {
-    val stats = randomStats(5, 12)
-    val r = new GreedyOrderPlanner(Pattern.seq(5, 100)).generate(stats)
+    val stats = randomStats(pairwise(5), new scala.util.Random(12))
+    val r = new GreedyOrderPlanner(stats.pattern).generate(stats)
     r.dcs.foreach { conds =>
       conds.foreach { c =>
         assert(c.lhs(stats) < c.rhs(stats), s"condition $c must hold at creation")
@@ -107,11 +94,9 @@ class GreedyPlannerSpec extends AnyFunSuite {
   test("predicate selectivities can reverse a pure-rate order") {
     // Position 0 is rare but joins badly (sel≈1); position 2 frequent but
     // joins position 1 with tiny selectivity.
-    val rates = Vector(0.1, 0.3, 0.6)
-    val sel = Array.fill(3, 3)(1.0)
-    sel(1)(2) = 0.01; sel(2)(1) = 0.01
-    val stats = Stats(rates, Vector.tabulate(3, 3)((i, j) => sel(i)(j)))
-    val r = new GreedyOrderPlanner(Pattern.seq(3, 100)).generate(stats)
+    val p = Pattern.seq(3, 100, Vector(Predicate(1, 2, 0, PredOp.Lt)))
+    val stats = of(p, 0.1, 0.3, 0.6, 0.01) // rates, then sel(1, 2)
+    val r = new GreedyOrderPlanner(p).generate(stats)
     val order = r.plan.asInstanceOf[OrderPlan].order
     // First pick is still the lowest rate (0); second pick: cand 1 costs
     // 0.3*1.0, cand 2 costs 0.6*1.0 → 1; third: 2 with sel(1,2) applied.
@@ -122,8 +107,8 @@ class GreedyPlannerSpec extends AnyFunSuite {
   }
 
   test("cost() delegates to the shared cost model") {
-    val stats = randomStats(4, 77)
-    val planner = new GreedyOrderPlanner(Pattern.seq(4, 100))
+    val stats = randomStats(pairwise(4), new scala.util.Random(77))
+    val planner = new GreedyOrderPlanner(stats.pattern)
     val r = planner.generate(stats)
     assert(planner.cost(r.plan, stats) ==
       CostModel.orderCost(r.plan.asInstanceOf[OrderPlan].order, stats))

@@ -1,9 +1,9 @@
 package repro.core.algo
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Pattern
 import repro.core.adapt.InvariantDecision
 import repro.core.stats.Stats
+import repro.core.stats.TestStats.{of, pairwise, randomStats}
 
 /** Property tests for the paper's correctness guarantees (§3.3):
   *
@@ -20,16 +20,6 @@ import repro.core.stats.Stats
   */
 class InvariantTheoremSpec extends AnyFunSuite {
 
-  private def randomStats(n: Int, rnd: scala.util.Random): Stats = {
-    val rates = Vector.fill(n)(0.02 + rnd.nextDouble() * 0.9)
-    val symm = Array.fill(n, n)(1.0)
-    for (i <- 0 until n; j <- i + 1 until n) {
-      val s = 0.05 + rnd.nextDouble() * 0.9
-      symm(i)(j) = s; symm(j)(i) = s
-    }
-    Stats(rates, Vector.tabulate(n, n)((i, j) => symm(i)(j)))
-  }
-
   /** Multiplicative perturbation of every monitored value. No upper clamp:
     * saturating at 1.0 would create exact cost ties, and ties are the only
     * case where the theorems' strict inequalities degenerate.
@@ -37,30 +27,20 @@ class InvariantTheoremSpec extends AnyFunSuite {
   private def perturb(s: Stats, rnd: scala.util.Random, sigma: Double): Stats = {
     def jiggle(x: Double): Double =
       math.max(1e-3, x * math.exp(rnd.nextGaussian() * sigma))
-    Stats(s.rates.map(jiggle),
-      Vector.tabulate(s.n, s.n) { (i, j) =>
-        if (i == j) 1.0
-        else if (i < j) jiggle(s.sel(i)(j))
-        else s.sel(j)(i) // keep symmetry; filled from the i<j branch
-      }.map(_.toVector))
-  }
-
-  private def symmetrize(s: Stats): Stats = {
-    val a = Array.tabulate(s.n, s.n)((i, j) => if (i <= j) s.sel(i)(j) else s.sel(j)(i))
-    Stats(s.rates, Vector.tabulate(s.n, s.n)((i, j) => a(i)(j)))
+    of(s.pattern, s.monitoredValues.toSeq.map(jiggle): _*)
   }
 
   for (n <- Seq(3, 5, 7); sigma <- Seq(0.05, 0.3)) {
     test(s"greedy Theorem 1: D=true ⇒ new plan differs (n=$n σ=$sigma, 200 trials)") {
       val rnd = new scala.util.Random(n * 1000 + (sigma * 100).toInt)
-      val planner = new GreedyOrderPlanner(Pattern.seq(n, 100))
+      val planner = new GreedyOrderPlanner(pairwise(n))
       var fired = 0
       (1 to 200).foreach { _ =>
-        val s0 = randomStats(n, rnd)
+        val s0 = randomStats(planner.pattern, rnd)
         val r0 = planner.generate(s0)
         val dec = new InvariantDecision(d = 0.0, k = 1)
         dec.rearm(s0, r0.dcs)
-        val s1 = symmetrize(perturb(s0, rnd, sigma))
+        val s1 = perturb(s0, rnd, sigma)
         if (dec.shouldReoptimize(s1)) {
           fired += 1
           val r1 = planner.generate(s1)
@@ -80,15 +60,15 @@ class InvariantTheoremSpec extends AnyFunSuite {
       // deployment guard (cost comparison) rejects the rest — which the
       // AdaptiveCepEngine counts as fruitless runs.
       val rnd = new scala.util.Random(n * 7777)
-      val planner = new GreedyOrderPlanner(Pattern.seq(n, 100))
+      val planner = new GreedyOrderPlanner(pairwise(n))
       var fired = 0
       var better = 0
       (1 to 200).foreach { _ =>
-        val s0 = randomStats(n, rnd)
+        val s0 = randomStats(planner.pattern, rnd)
         val r0 = planner.generate(s0)
         val dec = new InvariantDecision(d = 0.0, k = 1)
         dec.rearm(s0, r0.dcs)
-        val s1 = symmetrize(perturb(s0, rnd, 0.3))
+        val s1 = perturb(s0, rnd, 0.3)
         if (dec.shouldReoptimize(s1)) {
           fired += 1
           val r1 = planner.generate(s1)
@@ -105,15 +85,15 @@ class InvariantTheoremSpec extends AnyFunSuite {
   for (n <- Seq(3, 4, 5, 6)) {
     test(s"greedy Theorem 2: with full DCSs, D=true ⇔ plan changes (n=$n, 300 trials)") {
       val rnd = new scala.util.Random(n * 555)
-      val planner = new GreedyOrderPlanner(Pattern.seq(n, 100))
+      val planner = new GreedyOrderPlanner(pairwise(n))
       var changed = 0
       var unchanged = 0
       (1 to 300).foreach { _ =>
-        val s0 = randomStats(n, rnd)
+        val s0 = randomStats(planner.pattern, rnd)
         val r0 = planner.generate(s0)
         val dec = new InvariantDecision(d = 0.0, k = Int.MaxValue)
         dec.rearm(s0, r0.dcs)
-        val s1 = symmetrize(perturb(s0, rnd, 0.2))
+        val s1 = perturb(s0, rnd, 0.2)
         val fire = dec.shouldReoptimize(s1)
         val r1 = planner.generate(s1)
         if (r1.plan == r0.plan) { unchanged += 1; assert(!fire, "false positive") }
@@ -126,15 +106,15 @@ class InvariantTheoremSpec extends AnyFunSuite {
   test("greedy K=1 admits false negatives that K=all catches (paper §3.3)") {
     val n = 5
     val rnd = new scala.util.Random(2024)
-    val planner = new GreedyOrderPlanner(Pattern.seq(n, 100))
+    val planner = new GreedyOrderPlanner(pairwise(n))
     var k1Missed = 0
     var trials = 0
     (1 to 400).foreach { _ =>
-      val s0 = randomStats(n, rnd)
+      val s0 = randomStats(planner.pattern, rnd)
       val r0 = planner.generate(s0)
       val d1 = new InvariantDecision(0.0, 1); d1.rearm(s0, r0.dcs)
       val dAll = new InvariantDecision(0.0, Int.MaxValue); dAll.rearm(s0, r0.dcs)
-      val s1 = symmetrize(perturb(s0, rnd, 0.25))
+      val s1 = perturb(s0, rnd, 0.25)
       val planChanged = planner.generate(s1).plan != r0.plan
       if (planChanged) {
         trials += 1
@@ -149,15 +129,15 @@ class InvariantTheoremSpec extends AnyFunSuite {
   test("distance d suppresses marginal violations (paper §3.4)") {
     val n = 4
     val rnd = new scala.util.Random(31337)
-    val planner = new GreedyOrderPlanner(Pattern.seq(n, 100))
+    val planner = new GreedyOrderPlanner(pairwise(n))
     var basicFired = 0
     var distFired = 0
     (1 to 300).foreach { _ =>
-      val s0 = randomStats(n, rnd)
+      val s0 = randomStats(planner.pattern, rnd)
       val r0 = planner.generate(s0)
       val basic = new InvariantDecision(0.0, 1); basic.rearm(s0, r0.dcs)
       val dist = new InvariantDecision(0.5, 1); dist.rearm(s0, r0.dcs)
-      val s1 = symmetrize(perturb(s0, rnd, 0.1)) // small oscillations
+      val s1 = perturb(s0, rnd, 0.1) // small oscillations
       if (basic.shouldReoptimize(s1)) basicFired += 1
       if (dist.shouldReoptimize(s1)) distFired += 1
     }
@@ -168,14 +148,14 @@ class InvariantTheoremSpec extends AnyFunSuite {
   for (n <- Seq(3, 4, 5, 6)) {
     test(s"zstream Theorem 1 (live costs over frozen shapes): D=true ⇒ plan changes (n=$n, 200 trials)") {
       val rnd = new scala.util.Random(n * 999)
-      val planner = new ZStreamPlanner(Pattern.seq(n, 100))
+      val planner = new ZStreamPlanner(pairwise(n))
       var fired = 0
       (1 to 200).foreach { _ =>
-        val s0 = randomStats(n, rnd)
+        val s0 = randomStats(planner.pattern, rnd)
         val r0 = planner.generate(s0)
         val dec = new InvariantDecision(d = 0.0, k = Int.MaxValue)
         dec.rearm(s0, r0.dcs)
-        val s1 = symmetrize(perturb(s0, rnd, 0.3))
+        val s1 = perturb(s0, rnd, 0.3)
         if (dec.shouldReoptimize(s1)) {
           fired += 1
           val r1 = planner.generate(s1)
@@ -190,14 +170,14 @@ class InvariantTheoremSpec extends AnyFunSuite {
   test("zstream Corollary 1: every detected violation leads to a strictly better tree") {
     // The DP *is* optimal over tree-based plans, so Corollary 1 holds exactly.
     val rnd = new scala.util.Random(4242)
-    val planner = new ZStreamPlanner(Pattern.seq(5, 100))
+    val planner = new ZStreamPlanner(pairwise(5))
     var fired = 0
     (1 to 200).foreach { _ =>
-      val s0 = randomStats(5, rnd)
+      val s0 = randomStats(planner.pattern, rnd)
       val r0 = planner.generate(s0)
       val dec = new InvariantDecision(0.0, Int.MaxValue)
       dec.rearm(s0, r0.dcs)
-      val s1 = symmetrize(perturb(s0, rnd, 0.3))
+      val s1 = perturb(s0, rnd, 0.3)
       if (dec.shouldReoptimize(s1)) {
         fired += 1
         val r1 = planner.generate(s1)

@@ -19,16 +19,17 @@ class StatisticsMonitorSpec extends AnyFunSuite {
   test("default stats: uniform rates, 0.5 selectivity on predicate pairs") {
     val p = Pattern.seq(3, 100, Vector(Predicate(0, 1, 0, PredOp.Lt)))
     val s = Stats.default(p)
-    assert(s.rates == Vector(1.0 / 3, 1.0 / 3, 1.0 / 3))
-    assert(s.sel(0)(1) == 0.5 && s.sel(1)(0) == 0.5)
-    assert(s.sel(0)(2) == 1.0) // no predicate on this pair
-    assert(s.sel(1)(1) == 1.0)
+    assert((0 until 3).map(s.rate) == Vector(1.0 / 3, 1.0 / 3, 1.0 / 3))
+    assert(s.sel(0, 1) == 0.5 && s.sel(1, 0) == 0.5)
+    assert(s.sel(0, 2) == 1.0) // no predicate on this pair
+    assert(s.sel(1, 1) == 1.0)
   }
 
   test("monitoredValues lists rates then predicate-pair selectivities") {
-    val p = Pattern.seq(3, 100, Vector(Predicate(0, 1, 0, PredOp.Lt), Predicate(1, 2, 0, PredOp.Lt)))
-    val s = Stats.default(p)
-    assert(s.monitoredValues(p).size == 3 + 2)
+    val p = Pattern.seq(3, 100, Vector(Predicate(1, 2, 0, PredOp.Lt), Predicate(0, 1, 0, PredOp.Lt)))
+    val s = new Stats(p, Array(0.1, 0.2, 0.7), Array(0.3, 0.4))
+    assert(s.monitoredValues.toVector == Vector(0.1, 0.2, 0.7, 0.3, 0.4))
+    assert(s.sel(0, 1) == 0.3 && s.sel(2, 1) == 0.4) // pairs in `predicatePairs` order
   }
 
   for (seed <- Seq(1L, 2L, 3L)) {
@@ -40,10 +41,10 @@ class StatisticsMonitorSpec extends AnyFunSuite {
       evs.foreach(mon.observe)
       val s = mon.snapshot(evs.last.ts)
       (0 until 3).foreach { t =>
-        assert(math.abs(s.rates(t) - weights(t)) < 0.06,
-          s"type $t rate=${s.rates(t)} expected≈${weights(t)}")
+        assert(math.abs(s.rate(t) - weights(t)) < 0.06,
+          s"type $t rate=${s.rate(t)} expected≈${weights(t)}")
       }
-      assert(s.rates(0) > s.rates(1) && s.rates(1) > s.rates(2))
+      assert(s.rate(0) > s.rate(1) && s.rate(1) > s.rate(2))
     }
   }
 
@@ -52,12 +53,12 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     val mon = new StatisticsMonitor(p, statWindow = 1000)
     mkStream(Vector(0.9, 0.1), 4000, 5).foreach(mon.observe)
     val before = mon.snapshot(3999)
-    assert(before.rates(0) > 0.8)
+    assert(before.rate(0) > 0.8)
     // Shift: now type 1 dominates.
     val shifted = mkStream(Vector(0.1, 0.9), 4000, 6).map(e => e.copy(id = e.id + 4000, ts = e.ts + 4000))
     shifted.foreach(mon.observe)
     val after = mon.snapshot(7999)
-    assert(after.rates(1) > 0.8, s"rates after shift: ${after.rates}")
+    assert(after.rate(1) > 0.8, s"rates after shift: $after")
   }
 
   test("selectivity estimate approximates the true predicate probability") {
@@ -66,7 +67,7 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     val mon = new StatisticsMonitor(p, statWindow = 2000, ewmaAlpha = 0.01)
     mkStream(Vector(0.5, 0.5), 8000, 7).foreach(mon.observe)
     val s = mon.snapshot(7999)
-    assert(math.abs(s.sel(0)(1) - 0.5) < 0.12, s"sel=${s.sel(0)(1)}")
+    assert(math.abs(s.sel(0, 1) - 0.5) < 0.12, s"sel=${s.sel(0, 1)}")
   }
 
   test("selectivity for a near-always-true predicate approaches 1") {
@@ -76,7 +77,7 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     val evs = mkStream(Vector(0.5, 0.5), 5000, 8, (t, r) => t * 10.0 + r.nextDouble())
     evs.foreach(mon.observe)
     val s = mon.snapshot(evs.last.ts)
-    assert(s.sel(0)(1) > 0.9)
+    assert(s.sel(0, 1) > 0.9)
   }
 
   test("selectivity drifts when the attribute distribution drifts") {
@@ -85,11 +86,11 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     // Phase 1: type0 lower → sel high.
     mkStream(Vector(0.5, 0.5), 4000, 9, (t, r) => t * 5.0 + r.nextDouble())
       .foreach(mon.observe)
-    val hi = mon.snapshot(3999).sel(0)(1)
+    val hi = mon.snapshot(3999).sel(0, 1)
     // Phase 2: reversed.
     mkStream(Vector(0.5, 0.5), 4000, 10, (t, r) => (1 - t) * 5.0 + r.nextDouble())
       .map(e => e.copy(ts = e.ts + 4000)).foreach(mon.observe)
-    val lo = mon.snapshot(7999).sel(0)(1)
+    val lo = mon.snapshot(7999).sel(0, 1)
     assert(hi > 0.8 && lo < 0.2, s"hi=$hi lo=$lo")
   }
 
@@ -99,7 +100,16 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     mon.observe(Event(0, 0, 1, 1, 1))
     mon.observe(Event(1, 1, 0, 0, 0)) // holds: EWMA 1, then 1
     mon.observe(Event(2, 2, 0, 5, 5)) // fails: EWMA 0.5, then 0.25
-    assert(mon.snapshot(2).sel(0)(1) == 0.25)
+    assert(mon.snapshot(2).sel(0, 1) == 0.25)
+  }
+
+  test("snapshot: unsampled pairs read 0.5, sampled selectivities are floored at 1e-4") {
+    val p = Pattern.seq(3, 100, Vector(Predicate(0, 1, 0, PredOp.Lt), Predicate(1, 2, 0, PredOp.Lt)))
+    val mon = new StatisticsMonitor(p, statWindow = 100)
+    mon.observe(Event(0, 0, 1, 1, 0))
+    mon.observe(Event(1, 1, 0, 5, 0)) // 5 < 1 fails: pair (0, 1) EWMA 0
+    val s = mon.snapshot(1)
+    assert(s.sel(0, 1) == 1e-4 && s.sel(1, 2) == 0.5 && s.sel(0, 2) == 1.0)
   }
 
   test("events of types outside the pattern are ignored") {
@@ -116,6 +126,6 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     val mon = new StatisticsMonitor(p, statWindow = 10)
     (0 until 50).foreach(i => mon.observe(Event(i, i / 5, 0, 0, 0))) // 5 events per tick
     val s = mon.snapshot(9)
-    assert(s.rates(0) <= 1.0 && s.rates(0) > 0.0)
+    assert(s.rate(0) <= 1.0 && s.rate(0) > 0.0)
   }
 }

@@ -33,7 +33,12 @@ class CepBatchOracleSpec extends SparkSpec {
 
   private def checkAgainstOracle(pattern: Pattern, evs: Seq[Event], cfg: CepConfig,
                                  extraPreds: Seq[String]): Unit = {
-    val got = CepBatch.detectIdsDF(eventsDF(evs), pattern, cfg)
+    val s = spark
+    import s.implicits._
+    import org.apache.spark.sql.functions.element_at
+    // One `p<i>_id` column per position, the shape of the oracle's self-join.
+    val got = AdaptiveCepStream.detect(eventsDF(evs), pattern, cfg)
+      .select((0 until pattern.n).map(i => element_at($"eventIds", i + 1).as(s"p${i}_id")): _*)
     Oracle.assertEquivalent(got, joinSql(pattern, extraPreds), "ev" -> eventsDF(evs).toDF())
   }
 
