@@ -3,9 +3,9 @@ package repro.core
 /** A primitive event in the input stream.
   *
   * @param id    unique event identifier (stream-wide)
-  * @param ts    logical timestamp; equals the arrival index, so streams are
-  *              in-order with strictly increasing timestamps — the setting the
-  *              paper's engines assume (a single multiplexed stream)
+  * @param ts    logical timestamp, non-decreasing in arrival order (a single
+  *              multiplexed in-order stream, the paper's setting); equal
+  *              timestamps are allowed
   * @param etype event type identifier (the paper's "event type"; one type per
   *              camera / stock id / observation point)
   * @param a0    first numeric attribute (traffic: average speed; stocks: diff)

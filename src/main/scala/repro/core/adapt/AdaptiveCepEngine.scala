@@ -29,11 +29,17 @@ final class AdaptiveCounters extends Serializable {
   * running for one window; only its matches containing at least one event
   * accepted before `t0` are reported, while the fresh engine (starting from
   * empty buffers) reports the all-new matches. We generalize to a chain of
-  * engines with start times `s₁ < s₂ < …`: engine k reports matches whose
-  * earliest event arrived before `s_{k+1}` and is dropped once
-  * `s_{k+1} ≤ now − W`. The reported match set is therefore *exactly* the
-  * same as an unswitched run (tested), while the overlap's double processing
-  * is physically incurred — the deployment cost the paper measures.
+  * engines with start times `s₁ < s₂ < …` (a replacement decided at ts `t`
+  * starts its engine at `t + 1`): engine k owns the matches whose earliest
+  * event ts lies in the half-open interval `[s_k, s_{k+1})`, with
+  * `s_{k+1} = +∞` for the newest engine, and is dropped once
+  * `s_{k+1} ≤ now − W`. Timestamps must be non-decreasing; equal timestamps
+  * are allowed. An event that ties the replacement's ts `t` reaches the new
+  * engine too, but every match containing it starts before `s_{k+1}`, so only
+  * the old engine, which saw all of the match's events, reports it. The
+  * reported match set is therefore *exactly* the same as an unswitched run
+  * (tested), while the overlap's double processing is physically incurred —
+  * the deployment cost the paper measures.
   *
   * `D` is evaluated every `statPeriod` events; time spent in `D` and `A` is
   * accounted separately (the paper's "computational overhead").
@@ -98,10 +104,11 @@ final class AdaptiveCepEngine(
     while (k < engines.length) {
       val from = out.length
       engines(k).engine.onEvent(e, out)
-      // Engine k owns matches whose earliest event precedes the next engine's
-      // start; the newest engine owns everything it produces. Its unowned
-      // matches are dropped from `out` in place, keeping the order.
-      val bound = if (k + 1 < engines.length) engines(k + 1).startTs else Long.MaxValue
+      // Engine k owns matches whose earliest ts lies in [its start, the next
+      // engine's start). Its unowned matches are dropped from `out` in place,
+      // keeping the order.
+      val start = engines(k).startTs
+      val end = if (k + 1 < engines.length) engines(k + 1).startTs else Long.MaxValue
       var kept = from
       var m = from
       while (m < out.length) {
@@ -109,7 +116,7 @@ final class AdaptiveCepEngine(
         var minTs = Long.MaxValue
         var q = 0
         while (q < evs.length) { if (evs(q).ts < minTs) minTs = evs(q).ts; q += 1 }
-        if (minTs < bound) { out(kept) = evs; kept += 1 }
+        if (minTs >= start && minTs < end) { out(kept) = evs; kept += 1 }
         m += 1
       }
       out.dropRightInPlace(out.length - kept)

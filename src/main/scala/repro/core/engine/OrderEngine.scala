@@ -11,6 +11,6 @@ import repro.core.plan.OrderPlan
   * turn. Only events of `order(0)` count as partial matches on arrival (the
   * first prefix of `CostModel.orderCost`).
   */
-final class OrderEngine(pattern: Pattern, val plan: OrderPlan)
+final class OrderEngine(pattern: Pattern, plan: OrderPlan)
     extends Engine(pattern, plan.order.tail.map(new Leaf(_, counted = false)).foldLeft[JoinNode](
       new Leaf(plan.order.head, counted = true))(new Inner(pattern, _, _)))

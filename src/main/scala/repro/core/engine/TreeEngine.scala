@@ -7,7 +7,7 @@ import repro.core.plan.{InnerNode, LeafNode, TreeNode, TreePlan}
   * the plan tree, and every arrival counts as a partial match (the leaf rates
   * of `CostModel.treeCost`).
   */
-final class TreeEngine(pattern: Pattern, val plan: TreePlan)
+final class TreeEngine(pattern: Pattern, plan: TreePlan)
     extends Engine(pattern, TreeEngine.joinTree(pattern, plan.root))
 
 private object TreeEngine {

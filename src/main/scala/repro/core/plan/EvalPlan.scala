@@ -30,16 +30,16 @@ sealed trait TreeNode extends Serializable {
 }
 
 final case class LeafNode(pos: Int) extends TreeNode {
-  def lo: Int = pos
-  def hi: Int = pos
+  val lo: Int = pos
+  val hi: Int = pos
   def nodesBottomUp: Vector[TreeNode] = Vector(this)
   override def toString: String = pos.toString
 }
 
 final case class InnerNode(left: TreeNode, right: TreeNode) extends TreeNode {
   require(left.hi + 1 == right.lo, "inner node must join adjacent position ranges")
-  def lo: Int = left.lo
-  def hi: Int = right.hi
+  val lo: Int = left.lo
+  val hi: Int = right.hi
   def nodesBottomUp: Vector[TreeNode] =
     (left.nodesBottomUp ++ right.nodesBottomUp :+ this).sortBy(n => n.hi - n.lo)
   override def toString: String = s"($left,$right)"

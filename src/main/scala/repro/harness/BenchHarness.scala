@@ -71,18 +71,12 @@ object BenchHarness {
       StockGen.events(n, count, stepEvery = 400, stepSigma = 0.10, driftSigma = 0.0, seed = seed),
   )
 
-  final case class RunResult(
-      events: Long, matches: Long, elapsedNs: Long,
-      reopts: Long, plannerRuns: Long, nanosDA: Long)
-
   /** One-time JVM warm-up so JIT compilation of the hot engine/planner paths
     * does not bias whichever measured run happens to execute first.
     */
   private lazy val jitWarmed: Boolean = {
     for (ds <- Seq(traffic, stocks); algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream)) {
-      val pattern = ds.pattern(3)
-      val eng = Cep.makeEngine(pattern,
-        CepConfig(algo, DecisionKind.Unconditional, statPeriod = 64))
+      val eng = Cep.makeEngine(ds.pattern(3), CepConfig(algo, DecisionKind.Unconditional))
       ds.gen(3, 12000, 99L).foreach(eng.onEvent)
     }
     true
@@ -93,8 +87,9 @@ object BenchHarness {
   private final val Warmup = 2000
   private final val Reps = 2
 
-  /** Run one (dataset, length, algo, method) cell. The same `seed` produces
-    * the same event stream for every method, so comparisons are paired.
+  /** Run one (dataset, length, algo, method) cell and return its row, with
+    * `gainVsStatic` unset (NaN). The same `seed` produces the same event
+    * stream for every method, so comparisons are paired.
     */
   def runOne(
       ds: DatasetSpec,
@@ -103,45 +98,47 @@ object BenchHarness {
       decision: DecisionKind,
       nEvents: Int,
       seed: Long = 7L,
-  ): RunResult = {
+  ): Row = {
     require(jitWarmed)
     val pattern = ds.pattern(len)
+    val cfg = CepConfig(algo, decision)
     val all = ds.gen(len, Warmup + nEvents, seed)
     // Warm-up prefix: statistics only — gives A its initial in_stat, untimed.
-    val warmMonitor = new repro.core.stats.StatisticsMonitor(
-      pattern, pattern.window * 4)
-    var i = 0
-    while (i < Warmup) { warmMonitor.observe(all(i)); i += 1 }
-    val warmStats = warmMonitor.snapshot(all(Warmup - 1).ts)
+    // The monitor is built exactly as the timed engines build theirs.
+    val warmup = all.take(Warmup)
+    val warmMonitor = Cep.makeEngine(pattern, cfg).monitor
+    warmup.foreach(warmMonitor.observe)
+    val warmStats = warmMonitor.snapshot(warmup.last.ts)
 
     // Best-of-`Reps` wall time (fresh engine per rep, identical stream):
     // standard microbenchmark hygiene against GC/JIT/scheduler noise.
-    var best: RunResult = null
+    var best: Row = null
     var rep = 0
     while (rep < Reps) {
-      val timed = Cep.makeEngine(pattern, CepConfig(algo, decision), Some(warmStats))
-      i = 0
-      while (i < Warmup) { timed.monitor.observe(all(i)); i += 1 }
+      val timed = Cep.makeEngine(pattern, cfg, Some(warmStats))
+      warmup.foreach(timed.monitor.observe)
       System.gc()
       val t0 = System.nanoTime()
       var m = 0L
-      i = Warmup
+      var i = Warmup
       while (i < all.length) {
         m += timed.onEvent(all(i)).length
         i += 1
       }
       val elapsed = System.nanoTime() - t0
       val c = timed.counters
-      val r = RunResult(c.events, m, elapsed, c.replacements, c.plannerRuns,
-        c.nanosInDecision + c.nanosInPlanner)
-      if (best == null || r.elapsedNs < best.elapsedNs) best = r
+      val row = Row(ds.name, timed.planner.name, timed.decision.name, len, c.events, m,
+        c.events.toDouble / (elapsed / 1e9), Double.NaN, c.replacements, c.plannerRuns,
+        100.0 * (c.nanosInDecision + c.nanosInPlanner) / elapsed)
+      if (best == null || row.throughputEvS > best.throughputEvS) best = row
       rep += 1
     }
     best
   }
 
   /** The method-comparison table of Figs 6–9 for one dataset × algorithm:
-    * rows = pattern length × {static, unconditional, threshold(t), invariant(d,K)}.
+    * rows = pattern length × {static, unconditional, threshold(t), invariant(d,K)},
+    * each with its throughput gain over the static row of its length.
     */
   def methodComparison(
       ds: DatasetSpec,
@@ -160,17 +157,9 @@ object BenchHarness {
       DecisionKind.Invariant(dOpt, k),
     )
     lengths.flatMap { len =>
-      val pattern = ds.pattern(len)
-      val static = runOne(ds, len, algo, DecisionKind.Static, nEvents, seed = seed)
-      val staticThr = static.events.toDouble / (static.elapsedNs / 1e9)
-      methods.map { dk =>
-        val r = if (dk == DecisionKind.Static) static
-                else runOne(ds, len, algo, dk, nEvents, seed = seed)
-        val thr = r.events.toDouble / (r.elapsedNs / 1e9)
-        Row(ds.name, Cep.makePlanner(pattern, algo).name, Cep.makeDecision(pattern, dk).name,
-          len, r.events, r.matches, thr, thr / staticThr, r.reopts, r.plannerRuns,
-          100.0 * r.nanosDA / r.elapsedNs)
-      }
+      val rows = methods.map(runOne(ds, len, algo, _, nEvents, seed))
+      val staticThr = rows.head.throughputEvS
+      rows.map(r => r.copy(gainVsStatic = r.throughputEvS / staticThr))
     }
   }
 
@@ -185,16 +174,10 @@ object BenchHarness {
       nEvents: Int,
       k: Int,
       seed: Long = 7L,
-  ): Seq[Row] = {
-    lengths.flatMap { len =>
-      ds_.map { d =>
-        val r = runOne(ds, len, algo, DecisionKind.Invariant(d, k), nEvents, seed = seed)
-        val thr = r.events.toDouble / (r.elapsedNs / 1e9)
-        Row(ds.name, Cep.makePlanner(ds.pattern(len), algo).name, f"invariant(d=$d%.2f)", len,
-          r.events, r.matches, thr, Double.NaN, r.reopts, r.plannerRuns, 100.0 * r.nanosDA / r.elapsedNs)
-      }
-    }
-  }
+  ): Seq[Row] =
+    for (len <- lengths; d <- ds_)
+      yield runOne(ds, len, algo, DecisionKind.Invariant(d, k), nEvents, seed)
+        .copy(method = f"invariant(d=$d%.2f)")
 
   def printTable(title: String, rows: Seq[Row]): Unit = {
     println(s"\n=== $title ===")

@@ -94,6 +94,34 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(got == BruteForce.matches(p, evs))
   }
 
+  test("tied timestamps: matches across plan switches are unique and equal brute force (random SEQ/AND, n = 2-4, both planners)") {
+    val rnd = new scala.util.Random(59)
+    var replacements = 0L
+    for (algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream); conj <- Seq(false, true); n <- 2 to 4; _ <- 1 to 8) {
+      val preds = Vector.fill(rnd.nextInt(n + 1)) {
+        val i = rnd.nextInt(n)
+        val j = (i + 1 + rnd.nextInt(n - 1)) % n
+        Predicate(i, j, rnd.nextInt(2), if (rnd.nextBoolean()) PredOp.Lt else PredOp.Gt)
+      }
+      val window = 3L + rnd.nextInt(8)
+      val p = if (conj) Pattern.conj(n, window, preds) else Pattern.seq(n, window, preds)
+      // ts advances by 0 or 1 per event, so a plan switch decided at ts t is
+      // often followed by more events at t.
+      var ts = 0L
+      val evs = Vector.tabulate(400) { i =>
+        ts += rnd.nextInt(2)
+        Event(i.toLong, ts, rnd.nextInt(n + 1), rnd.nextDouble() * 10, rnd.nextDouble() * 10)
+      }
+      val eng = Cep.makeEngine(p, CepConfig(algo, DecisionKind.Unconditional, statPeriod = 5))
+      val got = evs.flatMap(e => eng.onEvent(e).map(_.map(_.id).toVector))
+      val duplicates = got.size - got.distinct.size
+      assert(duplicates == 0, s"$algo $p")
+      assert(got.toSet == BruteForce.matches(p, evs), s"$algo $p")
+      replacements += eng.counters.replacements
+    }
+    assert(replacements > 0, "the runs must switch plans")
+  }
+
   test("overlap window keeps two engines alive, then retires the old one") {
     val eng = Cep.makeEngine(pattern3,
       CepConfig(AlgoKind.Greedy, DecisionKind.Unconditional, statPeriod = 50))

@@ -1,0 +1,33 @@
+package repro.harness
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.spark.AlgoKind
+
+/** The deterministic counter claims of Figs 6–9 (paper §5.2), on small fixed
+  * cells of the method-comparison table: every dataset × algorithm panel at
+  * pattern lengths 3 and 4, with the bench's t_opt, d_opt and K. Counters
+  * depend only on the seed, so these claims hold exactly, unlike the
+  * wall-clock claims, which stay in `bench/`.
+  */
+class FigureCountersSpec extends AnyFunSuite {
+
+  private val Events = 8000
+  private val Seed = 7L
+
+  for {
+    ds <- Seq(BenchHarness.traffic, BenchHarness.stocks)
+    (algo, k) <- Seq(AlgoKind.Greedy -> 1, AlgoKind.ZStream -> 3)
+    len <- Seq(3, 4)
+  } test(s"counter claims of Figs 6-9: ${ds.name} x $algo, length $len") {
+    val rows = BenchHarness.methodComparison(ds, algo, Seq(len), Events,
+      tOpt = 0.1, dOpt = 0.2, k = k, seed = Seed)
+    val m = rows.map(r => r.method.takeWhile(_ != '(') -> r).toMap
+    val (static_, uncond, thr, inv) = (m("static"), m("unconditional"), m("threshold"), m("invariant"))
+    assert(inv.plannerRuns <= thr.plannerRuns && thr.plannerRuns <= uncond.plannerRuns,
+      s"A runs: invariant ${inv.plannerRuns}, threshold ${thr.plannerRuns}, unconditional ${uncond.plannerRuns}")
+    assert(inv.reoptimizations <= uncond.reoptimizations,
+      s"replacements: invariant ${inv.reoptimizations}, unconditional ${uncond.reoptimizations}")
+    assert(static_.reoptimizations == 0 && static_.plannerRuns == 0)
+    assert(rows.map(_.matches).distinct.size == 1, rows.map(r => r.method -> r.matches))
+  }
+}

@@ -22,8 +22,9 @@ class HarnessSmokeSpec extends AnyFunSuite {
     val r = BenchHarness.runOne(BenchHarness.traffic, len = 3, AlgoKind.Greedy,
       DecisionKind.Invariant(0.1, 1), nEvents = 3000)
     assert(r.events == 3000)
-    assert(r.elapsedNs > 0)
-    assert(r.plannerRuns >= r.reopts)
+    assert(r.throughputEvS > 0)
+    assert(r.gainVsStatic.isNaN)
+    assert(r.plannerRuns >= r.reoptimizations)
   }
 
   test("methodComparison emits one row per (length, method) with paired gains") {
