@@ -30,16 +30,12 @@ final class AdaptiveCounters extends Serializable {
   * accepted before `t0` are reported, while the fresh engine (starting from
   * empty buffers) reports the all-new matches. We generalize to a chain of
   * engines with start times `s₁ < s₂ < …` (a replacement decided at ts `t`
-  * starts its engine at `t + 1`): engine k owns the matches whose earliest
-  * event ts lies in the half-open interval `[s_k, s_{k+1})`, with
-  * `s_{k+1} = +∞` for the newest engine, and is dropped once
+  * starts its engine at `t + 1`). Each engine emits only the matches of its
+  * ownership interval `[s_k, s_{k+1})` (see [[Engine]]), and is dropped once
   * `s_{k+1} ≤ now − W`. Timestamps must be non-decreasing; equal timestamps
-  * are allowed. An event that ties the replacement's ts `t` reaches the new
-  * engine too, but every match containing it starts before `s_{k+1}`, so only
-  * the old engine, which saw all of the match's events, reports it. The
-  * reported match set is therefore *exactly* the same as an unswitched run
-  * (tested), while the overlap's double processing is physically incurred —
-  * the deployment cost the paper measures.
+  * are allowed. The reported match set is therefore *exactly* the same as an
+  * unswitched run (tested), while the overlap's double processing is
+  * physically incurred — the deployment cost the paper measures.
   *
   * `D` is evaluated every `statPeriod` events; time spent in `D` and `A` is
   * accounted separately (the paper's "computational overhead").
@@ -54,12 +50,11 @@ final class AdaptiveCepEngine(
     seed: Long,
 ) extends Serializable {
 
-  val monitor = new StatisticsMonitor(pattern, pattern.window.max(1L) * statWindowFactor, seed = seed)
+  val monitor = new StatisticsMonitor(pattern, pattern.window * statWindowFactor, seed = seed)
   val counters = new AdaptiveCounters
 
-  /** Active engines, oldest first, each tagged with its start timestamp. */
-  private final class Live(val engine: Engine, val startTs: Long) extends Serializable
-  private var engines: Vector[Live] = Vector.empty
+  /** Active engines, oldest first; each owns the matches from its start up to the next one's. */
+  private var engines: Vector[Engine] = Vector.empty
   private var _currentPlan: EvalPlan = _
   private var sinceDecision = 0
 
@@ -79,7 +74,9 @@ final class AdaptiveCepEngine(
       case op: OrderPlan => new OrderEngine(pattern, op)
       case tp: TreePlan  => new TreeEngine(pattern, tp)
     }
-    engines = engines :+ new Live(engine, startTs)
+    engine.from = startTs
+    engines.lastOption.foreach(_.until = startTs)
+    engines = engines :+ engine
   }
 
   // The matches of the event being processed; reused across events.
@@ -93,35 +90,14 @@ final class AdaptiveCepEngine(
     if (!pattern.typeToPos.contains(e.etype)) return Nil
     counters.events += 1
 
-    // Retire engines whose responsibility interval has expired.
-    while (engines.length > 1 && engines(1).startTs <= e.ts - pattern.window) {
-      counters.pmRetired += engines.head.engine.partialMatchesCreated
+    // Retire engines whose ownership interval ended at least a window ago.
+    while (engines.head.until <= e.ts - pattern.window) {
+      counters.pmRetired += engines.head.partialMatchesCreated
       engines = engines.tail
     }
 
     out.clear()
-    var k = 0
-    while (k < engines.length) {
-      val from = out.length
-      engines(k).engine.onEvent(e, out)
-      // Engine k owns matches whose earliest ts lies in [its start, the next
-      // engine's start). Its unowned matches are dropped from `out` in place,
-      // keeping the order.
-      val start = engines(k).startTs
-      val end = if (k + 1 < engines.length) engines(k + 1).startTs else Long.MaxValue
-      var kept = from
-      var m = from
-      while (m < out.length) {
-        val evs = out(m)
-        var minTs = Long.MaxValue
-        var q = 0
-        while (q < evs.length) { if (evs(q).ts < minTs) minTs = evs(q).ts; q += 1 }
-        if (minTs >= start && minTs < end) { out(kept) = evs; kept += 1 }
-        m += 1
-      }
-      out.dropRightInPlace(out.length - kept)
-      k += 1
-    }
+    engines.foreach(_.onEvent(e, out))
     counters.matches += out.length
 
     sinceDecision += 1
@@ -163,5 +139,5 @@ final class AdaptiveCepEngine(
     * the workload quantity the evaluation plans minimize.
     */
   def partialMatchesCreated: Long =
-    counters.pmRetired + engines.map(_.engine.partialMatchesCreated).sum
+    counters.pmRetired + engines.map(_.partialMatchesCreated).sum
 }

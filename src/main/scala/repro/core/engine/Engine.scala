@@ -129,8 +129,18 @@ private[engine] object Inner {
   * the parent's sibling, up to the root, which emits. The older side of every
   * join is a stored one, so each combination is produced exactly once. Every
   * `PruneEvery` pattern events the stores are pruned at horizon `now − window`.
+  *
+  * The engine emits only the matches it owns, those whose earliest event ts
+  * lies in `[from, until)`: by default every match. At plan switches (paper
+  * §2.2) the adaptation loop gives the engine started at `s_k` the interval
+  * `[s_k, s_{k+1})`. An event tying a switch's ts reaches both engines, but
+  * every match containing it starts before `s_{k+1}`, so only the old engine,
+  * which saw all of the match's events, emits it. Unowned results still count
+  * as partial matches.
   */
 abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) extends Serializable {
+  private[core] var from = Long.MinValue
+  private[core] var until = Long.MaxValue
   private var pmCount = 0L
   private var sincePrune = 0
   private val nodes: List[JoinNode] = {
@@ -159,7 +169,7 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     }
     val leaf = leafOf(pos)
     if (leaf.counted) pmCount += 1
-    if (leaf eq root) out += Array(e)
+    if (leaf eq root) { if (owns(e.ts)) out += Array(e) }
     else {
       leaf.store += e
       propagate(leaf, e, out)
@@ -177,11 +187,14 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     var k = first
     while (k < parent.store.length) {
       val pm = parent.store(k).asInstanceOf[PartialMatch]
-      if (parent eq root) out += pm.events else propagate(parent, pm, out)
+      if (parent ne root) propagate(parent, pm, out)
+      else if (owns(pm.minTs)) out += pm.events
       k += 1
     }
     if (parent eq root) parent.store.clear()
   }
+
+  private def owns(minTs: Long): Boolean = minTs >= from && minTs < until
 
   /** Total partial matches materialized — the quantity the cost model
     * predicts and the plans minimize: every inner-node result, plus the

@@ -6,14 +6,14 @@ import repro.core.{Event, Pattern}
 import repro.core.adapt.AdaptiveCepEngine
 
 /** One detected pattern match: the matched events' ids and timestamps, in
-  * pattern-position order, plus the completion timestamp.
+  * pattern-position order.
   */
-final case class CepMatch(eventIds: Seq[Long], eventTs: Seq[Long], lastTs: Long)
+final case class CepMatch(eventIds: Seq[Long], eventTs: Seq[Long])
 
 object CepMatch {
   /** The match of `evs`, the matched events by pattern position. */
   def of(evs: Array[Event]): CepMatch =
-    CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq, evs.map(_.ts).max)
+    CepMatch(evs.map(_.id).toSeq, evs.map(_.ts).toSeq)
 }
 
 /** Adaptive CEP plan-switching as a Structured Streaming operator.

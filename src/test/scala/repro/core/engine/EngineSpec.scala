@@ -48,4 +48,38 @@ class EngineSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("an engine emits exactly the matches whose earliest ts lies in [from, until) (random SEQ/AND, n = 1-4, tied ts, both plan kinds)") {
+    val rnd = new scala.util.Random(71)
+    for (conj <- Seq(false, true); n <- 1 to 4; _ <- 1 to 4) {
+      val preds = if (n == 1) Vector.empty else Vector.fill(rnd.nextInt(n + 1)) {
+        val i = rnd.nextInt(n)
+        val j = (i + 1 + rnd.nextInt(n - 1)) % n
+        Predicate(i, j, rnd.nextInt(2), if (rnd.nextBoolean()) PredOp.Lt else PredOp.Gt)
+      }
+      val window = 3L + rnd.nextInt(8)
+      val p = if (conj) Pattern.conj(n, window, preds) else Pattern.seq(n, window, preds)
+      // ts advances by 0 or 1 per event, so the bounds often tie an event's ts.
+      var ts = 0L
+      val evs = Vector.tabulate(300) { i =>
+        ts += rnd.nextInt(2)
+        Event(i.toLong, ts, rnd.nextInt(n + 1), rnd.nextDouble() * 10, rnd.nextDouble() * 10)
+      }
+      val tsOf = evs.map(e => e.id -> e.ts).toMap
+      val all = BruteForce.matches(p, evs)
+      val engines = (0 until n).permutations.map(o => new OrderEngine(p, OrderPlan(o.toVector))).toVector ++
+        BruteForce.allTrees(0, n - 1).map(shape => new TreeEngine(p, TreePlan(shape)))
+      for (eng <- engines) {
+        val from = rnd.nextLong(ts + 2) - 1
+        val until = from + rnd.nextLong(ts + 2 - from)
+        eng.from = from
+        eng.until = until
+        val want = all.filter { m => val first = m.map(tsOf).min; first >= from && first < until }
+        val out = scala.collection.mutable.ArrayBuffer.empty[Array[Event]]
+        evs.foreach(eng.onEvent(_, out))
+        val got = out.map(_.map(_.id).toVector)
+        assert(got.size == want.size && got.toSet == want, s"$p [$from, $until)")
+      }
+    }
+  }
 }

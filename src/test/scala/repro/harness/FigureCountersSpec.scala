@@ -3,16 +3,19 @@ package repro.harness
 import org.scalatest.funsuite.AnyFunSuite
 import repro.spark.AlgoKind
 
-/** The deterministic counter claims of Figs 6–9 (paper §5.2), on small fixed
+/** The deterministic counter claims of Figs 5–9 (paper §5.2), on small fixed
   * cells of the method-comparison table: every dataset × algorithm panel at
-  * pattern lengths 3 and 4, with the bench's t_opt, d_opt and K. Counters
-  * depend only on the seed, so these claims hold exactly, unlike the
-  * wall-clock claims, which stay in `bench/`.
+  * pattern lengths 3 and 4, with the bench's t_opt, d_opt and K. Each cell
+  * also runs the invariant method at d = 0 and d = 0.5 for Fig 5's claim.
+  * Counters depend only on the seed, so these claims hold exactly, unlike
+  * the wall-clock claims, which stay in `bench/`.
   */
 class FigureCountersSpec extends AnyFunSuite {
 
   private val Events = 8000
   private val Seed = 7L
+
+  private def fruitless(r: BenchHarness.Row): Long = r.plannerRuns - r.reoptimizations
 
   for {
     ds <- Seq(BenchHarness.traffic, BenchHarness.stocks)
@@ -27,7 +30,14 @@ class FigureCountersSpec extends AnyFunSuite {
       s"A runs: invariant ${inv.plannerRuns}, threshold ${thr.plannerRuns}, unconditional ${uncond.plannerRuns}")
     assert(inv.reoptimizations <= uncond.reoptimizations,
       s"replacements: invariant ${inv.reoptimizations}, unconditional ${uncond.reoptimizations}")
+    assert(fruitless(inv) <= fruitless(thr),
+      s"fruitless A runs: invariant ${fruitless(inv)}, threshold ${fruitless(thr)}")
     assert(static_.reoptimizations == 0 && static_.plannerRuns == 0)
     assert(rows.map(_.matches).distinct.size == 1, rows.map(r => r.method -> r.matches))
+
+    // Fig 5: a wider distance d needs no more reoptimizations.
+    val sweep = BenchHarness.dSweep(ds, algo, Seq(len), Seq(0.0, 0.5), Events, k, Seed)
+    val byD = Seq(sweep(0), inv, sweep(1)).map(_.reoptimizations) // d = 0, 0.2, 0.5
+    assert(byD == byD.sorted.reverse, s"reoptimizations at d = 0, 0.2, 0.5: $byD")
   }
 }
