@@ -7,26 +7,11 @@ import repro.harness.BenchHarness.Row
   * lengths 3–8 over 13.6M/80.5M real events; we run 3–6 over 60k synthetic
   * events per cell to fit the wall-clock budget — the scaling *trend* across
   * lengths and the method ordering are what must reproduce (DESIGN.md §3).
+  * The methods, their tuned values and the seed are `BenchHarness`'s.
   */
 object BenchDefaults {
   val lengths: Seq[Int] = Seq(3, 4, 5, 6)
   val nEvents: Int = 60000
-  val seed: Long = 7L
-
-  /** t_opt / d_opt per dataset, found by sweep (see Fig5DSweepBench and
-    * EXPERIMENTS.md), mirroring the paper's empirical tuning of both knobs.
-    */
-  val trafficTOpt = 0.10
-  val trafficDOpt = 0.20
-  val stocksTOpt = 0.10
-  val stocksDOpt = 0.20
-
-  /** K for the K-invariant method: 1 for greedy (basic method suffices, paper
-    * §4.1); 3 for ZStream, which the paper recommends running with K > 1
-    * (§4.2).
-    */
-  val greedyK = 1
-  val zstreamK = 3
 
   def emit(title: String, rows: Seq[Row]): Unit = {
     BenchHarness.printTable(title, rows)

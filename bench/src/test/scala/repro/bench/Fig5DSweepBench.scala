@@ -17,8 +17,8 @@ class Fig5DSweepBench extends AnyFunSuite {
   private val lengths = Seq(3, 5)
   private val n = BenchDefaults.nEvents
 
-  private def sweep(ds: BenchHarness.DatasetSpec, algo: AlgoKind, k: Int, label: String): Unit = {
-    val rows = BenchHarness.dSweep(ds, algo, lengths, dValues, n, k, BenchDefaults.seed)
+  private def sweep(ds: BenchHarness.DatasetSpec, algo: AlgoKind, label: String): Unit = {
+    val rows = BenchHarness.dSweep(ds, algo, lengths, dValues, n)
     BenchDefaults.emit(s"Fig5 $label: throughput vs d", rows)
     // Structural check, not a timing assertion: every cell ran the full
     // stream and the match sets agree across d (paired streams).
@@ -29,22 +29,21 @@ class Fig5DSweepBench extends AnyFunSuite {
   }
 
   test("Fig5(a) traffic x greedy d-sweep") {
-    sweep(traffic, AlgoKind.Greedy, BenchDefaults.greedyK, "traffic/greedy")
+    sweep(traffic, AlgoKind.Greedy, "traffic/greedy")
   }
   test("Fig5(b) traffic x zstream d-sweep") {
-    sweep(traffic, AlgoKind.ZStream, BenchDefaults.zstreamK, "traffic/zstream")
+    sweep(traffic, AlgoKind.ZStream, "traffic/zstream")
   }
   test("Fig5(c) stocks x greedy d-sweep") {
-    sweep(stocks, AlgoKind.Greedy, BenchDefaults.greedyK, "stocks/greedy")
+    sweep(stocks, AlgoKind.Greedy, "stocks/greedy")
   }
   test("Fig5(d) stocks x zstream d-sweep") {
-    sweep(stocks, AlgoKind.ZStream, BenchDefaults.zstreamK, "stocks/zstream")
+    sweep(stocks, AlgoKind.ZStream, "stocks/zstream")
   }
 
   test("reoptimization count decreases monotonically-ish with d") {
     // Higher d must not trigger more replans than d=0 on the same stream.
-    val rows = BenchHarness.dSweep(traffic, AlgoKind.Greedy, Seq(4),
-      Seq(0.0, 0.5), 20000, 1, BenchDefaults.seed)
+    val rows = BenchHarness.dSweep(traffic, AlgoKind.Greedy, Seq(4), Seq(0.0, 0.5), 20000)
     val byD = rows.map(r => r.method -> r.reoptimizations).toMap
     assert(byD("invariant(d=0.50)") <= byD("invariant(d=0.00)"))
   }

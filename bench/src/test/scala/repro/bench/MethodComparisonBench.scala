@@ -20,14 +20,10 @@ abstract class MethodComparisonBench(
     figure: String,
     ds: BenchHarness.DatasetSpec,
     algo: AlgoKind,
-    tOpt: Double,
-    dOpt: Double,
-    k: Int,
 ) extends AnyFunSuite {
 
-  private lazy val rows: Seq[Row] = BenchHarness.methodComparison(
-    ds, algo, BenchDefaults.lengths, BenchDefaults.nEvents, tOpt, dOpt, k,
-    BenchDefaults.seed)
+  private lazy val rows: Seq[Row] =
+    BenchHarness.methodComparison(ds, algo, BenchDefaults.lengths, BenchDefaults.nEvents)
 
   private def byMethod(len: Int): Map[String, Row] =
     rows.filter(_.patternLen == len).map(r => (r.method.takeWhile(_ != '('), r)).toMap
@@ -99,21 +95,13 @@ abstract class MethodComparisonBench(
 }
 
 /** Figure 6: traffic dataset × greedy order-based algorithm. */
-class Fig6TrafficGreedyBench extends MethodComparisonBench(
-  "Fig6", BenchHarness.traffic, AlgoKind.Greedy,
-  BenchDefaults.trafficTOpt, BenchDefaults.trafficDOpt, BenchDefaults.greedyK)
+class Fig6TrafficGreedyBench extends MethodComparisonBench("Fig6", BenchHarness.traffic, AlgoKind.Greedy)
 
 /** Figure 7: traffic dataset × ZStream tree algorithm. */
-class Fig7TrafficZStreamBench extends MethodComparisonBench(
-  "Fig7", BenchHarness.traffic, AlgoKind.ZStream,
-  BenchDefaults.trafficTOpt, BenchDefaults.trafficDOpt, BenchDefaults.zstreamK)
+class Fig7TrafficZStreamBench extends MethodComparisonBench("Fig7", BenchHarness.traffic, AlgoKind.ZStream)
 
 /** Figure 8: stocks dataset × greedy order-based algorithm. */
-class Fig8StocksGreedyBench extends MethodComparisonBench(
-  "Fig8", BenchHarness.stocks, AlgoKind.Greedy,
-  BenchDefaults.stocksTOpt, BenchDefaults.stocksDOpt, BenchDefaults.greedyK)
+class Fig8StocksGreedyBench extends MethodComparisonBench("Fig8", BenchHarness.stocks, AlgoKind.Greedy)
 
 /** Figure 9: stocks dataset × ZStream tree algorithm. */
-class Fig9StocksZStreamBench extends MethodComparisonBench(
-  "Fig9", BenchHarness.stocks, AlgoKind.ZStream,
-  BenchDefaults.stocksTOpt, BenchDefaults.stocksDOpt, BenchDefaults.zstreamK)
+class Fig9StocksZStreamBench extends MethodComparisonBench("Fig9", BenchHarness.stocks, AlgoKind.ZStream)

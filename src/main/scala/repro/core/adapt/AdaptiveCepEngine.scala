@@ -16,10 +16,11 @@ final class AdaptiveCounters extends Serializable {
   var decisionEvals: Long = 0L   // evaluations of D
   var plannerRuns: Long = 0L     // invocations of A (D returned true)
   var replacements: Long = 0L    // actual plan deployments (Figs 6c–9c)
-  var fruitlessRuns: Long = 0L   // A invocations that produced no better plan
   var nanosInDecision: Long = 0L // wall time inside D
   var nanosInPlanner: Long = 0L  // wall time inside A + deployment bookkeeping
   var pmRetired: Long = 0L       // partial matches created by retired engines
+
+  def fruitlessRuns: Long = plannerRuns - replacements // A invocations that produced no better plan
 }
 
 /** The paper's detection-adaptation loop (Algorithm 1) around a pattern
@@ -125,7 +126,7 @@ final class AdaptiveCepEngine(
       if (better) {
         counters.replacements += 1
         deploy(pr.plan, now + 1)
-      } else counters.fruitlessRuns += 1
+      }
       // Rearm regardless: baselines/invariants now reflect current stats.
       decision.rearm(stats, pr.dcs)
       counters.nanosInPlanner += System.nanoTime() - t1

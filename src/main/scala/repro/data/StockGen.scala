@@ -14,9 +14,13 @@ import scala.util.Random
   *    every `stepEvery` events each weight is multiplied by
   *    `exp(N(0, stepSigma))` and the vector renormalized (frequent, small
   *    rate changes that occasionally accumulate into rank swaps);
-  *  - attribute a0 ("price diff") is a gaussian whose per-type mean also
-  *    follows a small random walk, drifting the ordering-predicate
-  *    selectivities.
+  *  - attribute a0 ("price diff") is a gaussian whose per-type mean can
+  *    also follow a random walk (`driftSigma`). The stocks dataset of the
+  *    figures (`BenchHarness.stocks`) sets `driftSigma = 0`, so its means
+  *    stay at 0 and the ordering-predicate selectivities at about 0.5; the
+  *    walk's draws are still taken, so the stream depends on them. The
+  *    defaults below (`stepEvery` 1000, `stepSigma` 0.15, `driftSigma`
+  *    0.08) are used only by tests.
   *
   * Deterministic in (params, seed). Timestamps are the arrival index.
   */

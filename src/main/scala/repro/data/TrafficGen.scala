@@ -32,8 +32,12 @@ import scala.util.Random
   */
 object TrafficGen {
 
-  def weights(n: Int, alpha: Double): Vector[Double] = {
-    val raw = Vector.tabulate(n)(k => 1.0 / math.pow(k + 1.0, alpha))
+  private final val Alpha = 1.6      // zipf exponent of the rate skew
+  private final val OscAmp = 0.35    // relative amplitude of the busy type's benign oscillation
+  private final val OscPeriod = 7000 // oscillation period in events
+
+  def weights(n: Int): Vector[Double] = {
+    val raw = Vector.tabulate(n)(k => 1.0 / math.pow(k + 1.0, Alpha))
     val s = raw.sum
     raw.map(_ / s)
   }
@@ -43,23 +47,17 @@ object TrafficGen {
     * @param n         number of event types (= pattern length)
     * @param count     number of events
     * @param epochs    number of regimes; boundaries rotate the rare-type ranks
-    * @param alpha     zipf exponent of the rate skew
-    * @param oscAmp    relative amplitude of the busy type's benign oscillation
-    * @param oscPeriod oscillation period in events
     */
   def events(
       n: Int,
       count: Int,
       epochs: Int = 4,
-      alpha: Double = 1.6,
-      oscAmp: Double = 0.35,
-      oscPeriod: Int = 7000,
       seed: Long = 11L,
       firstId: Long = 0L,
   ): IndexedSeq[Event] = {
     require(n >= 1 && count >= 0 && epochs >= 1)
     val rnd = new Random(seed)
-    val w = weights(n, alpha)
+    val w = weights(n)
     val epochLen = math.max(1, count / epochs)
     val out = new Array[Event](count)
     var i = 0
@@ -71,7 +69,7 @@ object TrafficGen {
       def typeOfRank(r: Int): Int =
         if (r == 0 || n == 1) 0 else 1 + ((r - 1 + epoch) % (n - 1))
       // Benign oscillation of the busy type's weight (plan-irrelevant).
-      val osc = 1.0 + oscAmp * math.sin(2.0 * math.Pi * i / oscPeriod)
+      val osc = 1.0 + OscAmp * math.sin(2.0 * math.Pi * i / OscPeriod)
       val w0 = math.min(0.95, w(0) * osc)
       val lowScale = if (n == 1) 0.0 else (1.0 - w0) / (1.0 - w(0))
       // Draw a rank from the oscillation-adjusted zipf weights.

@@ -1,6 +1,7 @@
 package repro.harness
 
 import repro.core.{Event, Pattern, PredOp, Predicate}
+import repro.core.stats.Stats
 import repro.data.{StockGen, TrafficGen}
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
 
@@ -71,6 +72,34 @@ object BenchHarness {
       StockGen.events(n, count, stepEvery = 400, stepSigma = 0.10, driftSigma = 0.0, seed = seed),
   )
 
+  /** The tuned knobs of Figs 6–9, the same on both datasets: t_opt and d_opt
+    * were found by sweeps over t and d (Fig 5 bench, EXPERIMENTS.md),
+    * mirroring the paper's empirical tuning (§5).
+    */
+  final val TOpt = 0.1
+  final val DOpt = 0.2
+
+  /** Seed of every figure cell's stream: every method of a cell sees the
+    * same events, so comparisons are paired.
+    */
+  final val Seed = 7L
+
+  /** K of the K-invariant method: 1 for greedy (the basic method suffices,
+    * paper §4.1), 3 for ZStream, which §4.2 recommends running with K > 1.
+    */
+  def k(algo: AlgoKind): Int = algo match {
+    case AlgoKind.Greedy  => 1
+    case AlgoKind.ZStream => 3
+  }
+
+  /** The methods each panel of Figs 6–9 compares, the static plan first. */
+  def methods(algo: AlgoKind): Seq[DecisionKind] = Seq(
+    DecisionKind.Static,
+    DecisionKind.Unconditional,
+    DecisionKind.Threshold(TOpt),
+    DecisionKind.Invariant(DOpt, k(algo)),
+  )
+
   /** One-time JVM warm-up so JIT compilation of the hot engine/planner paths
     * does not bias whichever measured run happens to execute first.
     */
@@ -87,96 +116,67 @@ object BenchHarness {
   private final val Warmup = 2000
   private final val Reps = 2
 
-  /** Run one (dataset, length, algo, method) cell and return its row, with
-    * `gainVsStatic` unset (NaN). The same `seed` produces the same event
-    * stream for every method, so comparisons are paired.
+  /** The input of one (dataset, length) cell, the same for every method: the
+    * pattern, the stream (warm-up prefix first) and the statistics that the
+    * prefix gives `A` as its initial in_stat. The warm-up monitor is built
+    * as every timed engine builds its own; no method changes it.
     */
-  def runOne(
-      ds: DatasetSpec,
-      len: Int,
-      algo: AlgoKind,
-      decision: DecisionKind,
-      nEvents: Int,
-      seed: Long = 7L,
-  ): Row = {
-    require(jitWarmed)
-    val pattern = ds.pattern(len)
-    val cfg = CepConfig(algo, decision)
-    val all = ds.gen(len, Warmup + nEvents, seed)
-    // Warm-up prefix: statistics only — gives A its initial in_stat, untimed.
-    // The monitor is built exactly as the timed engines build theirs.
-    val warmup = all.take(Warmup)
-    val warmMonitor = Cep.makeEngine(pattern, cfg).monitor
-    warmup.foreach(warmMonitor.observe)
-    val warmStats = warmMonitor.snapshot(warmup.last.ts)
-
-    // Best-of-`Reps` wall time (fresh engine per rep, identical stream):
-    // standard microbenchmark hygiene against GC/JIT/scheduler noise.
-    var best: Row = null
-    var rep = 0
-    while (rep < Reps) {
-      val timed = Cep.makeEngine(pattern, cfg, Some(warmStats))
-      warmup.foreach(timed.monitor.observe)
-      System.gc()
-      val t0 = System.nanoTime()
-      var m = 0L
-      var i = Warmup
-      while (i < all.length) {
-        m += timed.onEvent(all(i)).length
-        i += 1
-      }
-      val elapsed = System.nanoTime() - t0
-      val c = timed.counters
-      val row = Row(ds.name, timed.planner.name, timed.decision.name, len, c.events, m,
-        c.events.toDouble / (elapsed / 1e9), Double.NaN, c.replacements, c.plannerRuns,
-        100.0 * (c.nanosInDecision + c.nanosInPlanner) / elapsed)
-      if (best == null || row.throughputEvS > best.throughputEvS) best = row
-      rep += 1
+  private[harness] final class CellInput(val ds: DatasetSpec, val len: Int, nEvents: Int) {
+    val pattern: Pattern = ds.pattern(len)
+    val events: IndexedSeq[Event] = ds.gen(len, Warmup + nEvents, Seed)
+    val warmStats: Stats = {
+      val monitor = Cep.makeEngine(pattern, CepConfig()).monitor
+      events.take(Warmup).foreach(monitor.observe)
+      monitor.snapshot(events(Warmup - 1).ts)
     }
-    best
+  }
+
+  /** One timed run of a cell under one method: a fresh engine starts from
+    * the warm-up statistics, its monitor sees the prefix untimed, and the
+    * rest of the stream is timed. `gainVsStatic` is unset (NaN).
+    */
+  private[harness] def pass(in: CellInput, algo: AlgoKind, decision: DecisionKind): Row = {
+    val eng = Cep.makeEngine(in.pattern, CepConfig(algo, decision), Some(in.warmStats))
+    var i = 0
+    while (i < Warmup) { eng.monitor.observe(in.events(i)); i += 1 }
+    System.gc()
+    val t0 = System.nanoTime()
+    while (i < in.events.length) { eng.onEvent(in.events(i)); i += 1 }
+    val elapsed = System.nanoTime() - t0
+    val c = eng.counters
+    Row(in.ds.name, eng.planner.name, eng.decision.name, in.len, c.events, c.matches,
+      c.events.toDouble / (elapsed / 1e9), Double.NaN, c.replacements, c.plannerRuns,
+      100.0 * (c.nanosInDecision + c.nanosInPlanner) / elapsed)
+  }
+
+  /** Run one (dataset, length, algo, method) cell and return the fastest of
+    * `Reps` passes (fresh engine each, identical stream): standard
+    * microbenchmark hygiene against GC/JIT/scheduler noise. Counters are the
+    * same in every pass.
+    */
+  def runOne(ds: DatasetSpec, len: Int, algo: AlgoKind, decision: DecisionKind, nEvents: Int): Row = {
+    require(jitWarmed)
+    val in = new CellInput(ds, len, nEvents)
+    Iterator.fill(Reps)(pass(in, algo, decision)).maxBy(_.throughputEvS)
   }
 
   /** The method-comparison table of Figs 6–9 for one dataset × algorithm:
-    * rows = pattern length × {static, unconditional, threshold(t), invariant(d,K)},
-    * each with its throughput gain over the static row of its length.
+    * rows = pattern length × `methods(algo)`, each with its throughput gain
+    * over the static row of its length.
     */
-  def methodComparison(
-      ds: DatasetSpec,
-      algo: AlgoKind,
-      lengths: Seq[Int],
-      nEvents: Int,
-      tOpt: Double,
-      dOpt: Double,
-      k: Int,
-      seed: Long = 7L,
-  ): Seq[Row] = {
-    val methods = Seq[DecisionKind](
-      DecisionKind.Static,
-      DecisionKind.Unconditional,
-      DecisionKind.Threshold(tOpt),
-      DecisionKind.Invariant(dOpt, k),
-    )
+  def methodComparison(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], nEvents: Int): Seq[Row] =
     lengths.flatMap { len =>
-      val rows = methods.map(runOne(ds, len, algo, _, nEvents, seed))
+      val rows = methods(algo).map(runOne(ds, len, algo, _, nEvents))
       val staticThr = rows.head.throughputEvS
       rows.map(r => r.copy(gainVsStatic = r.throughputEvS / staticThr))
     }
-  }
 
   /** The distance sweep of Fig. 5 for one dataset × algorithm: rows =
-    * pattern length × d.
+    * pattern length × d, with K = `k(algo)`.
     */
-  def dSweep(
-      ds: DatasetSpec,
-      algo: AlgoKind,
-      lengths: Seq[Int],
-      ds_ : Seq[Double],
-      nEvents: Int,
-      k: Int,
-      seed: Long = 7L,
-  ): Seq[Row] =
-    for (len <- lengths; d <- ds_)
-      yield runOne(ds, len, algo, DecisionKind.Invariant(d, k), nEvents, seed)
+  def dSweep(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], dValues: Seq[Double], nEvents: Int): Seq[Row] =
+    for (len <- lengths; d <- dValues)
+      yield runOne(ds, len, algo, DecisionKind.Invariant(d, k(algo)), nEvents)
         .copy(method = f"invariant(d=$d%.2f)")
 
   def printTable(title: String, rows: Seq[Row]): Unit = {

@@ -18,7 +18,7 @@ class GeneratorSpec extends AnyFunSuite {
   }
 
   test("traffic: zipf weights are normalized and skewed") {
-    val w = TrafficGen.weights(5, 1.6)
+    val w = TrafficGen.weights(5)
     assert(math.abs(w.sum - 1.0) < 1e-9)
     assert(w == w.sorted.reverse)
     assert(w.head / w.last > 5.0)
@@ -27,14 +27,14 @@ class GeneratorSpec extends AnyFunSuite {
   test("traffic: within an epoch the type distribution is skewed roughly as zipf") {
     val evs = TrafficGen.events(4, 40000, epochs = 1, seed = 4)
     val freq = evs.groupBy(_.etype).view.mapValues(_.size.toDouble / evs.size).toMap
-    val w = TrafficGen.weights(4, 1.6)
+    val w = TrafficGen.weights(4)
     (0 until 4).foreach { t =>
       assert(math.abs(freq(t) - w(t)) < 0.05, s"type $t freq=${freq(t)} expected≈${w(t)}")
     }
   }
 
   test("traffic: the busy type oscillates with large amplitude but keeps its top rank") {
-    val evs = TrafficGen.events(4, 28000, epochs = 1, oscPeriod = 7000, seed = 5)
+    val evs = TrafficGen.events(4, 28000, epochs = 1, seed = 5)
     def freq(s: Seq[repro.core.Event], t: Int) = s.count(_.etype == t).toDouble / s.size
     val quarters = evs.grouped(3500).toVector // half-period chunks
     val f0 = quarters.map(q => freq(q, 0))

@@ -29,7 +29,7 @@ class HarnessSmokeSpec extends AnyFunSuite {
 
   test("methodComparison emits one row per (length, method) with paired gains") {
     val rows = BenchHarness.methodComparison(BenchHarness.stocks, AlgoKind.Greedy,
-      lengths = Seq(3), nEvents = 2000, tOpt = 0.05, dOpt = 0.1, k = 1, seed = 3)
+      lengths = Seq(3), nEvents = 2000)
     assert(rows.size == 4)
     val static_ = rows.find(_.method == "static").get
     assert(math.abs(static_.gainVsStatic - 1.0) < 1e-9)
@@ -40,8 +40,18 @@ class HarnessSmokeSpec extends AnyFunSuite {
 
   test("dSweep emits one row per (length, d)") {
     val rows = BenchHarness.dSweep(BenchHarness.traffic, AlgoKind.Greedy,
-      lengths = Seq(3), ds_ = Seq(0.0, 0.3), nEvents = 2000, k = 1)
+      lengths = Seq(3), dValues = Seq(0.0, 0.3), nEvents = 2000)
     assert(rows.size == 2)
     assert(rows.map(_.matches).distinct.size == 1)
+  }
+
+  test("runOne keeps the deterministic counters and labels of one pass") {
+    // FigureCountersSpec reads its counters from one pass per method.
+    val in = new BenchHarness.CellInput(BenchHarness.stocks, 3, 2000)
+    def fields(r: BenchHarness.Row) =
+      (r.dataset, r.algo, r.method, r.patternLen, r.events, r.matches, r.reoptimizations, r.plannerRuns)
+    for (algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream); dk <- BenchHarness.methods(algo))
+      assert(fields(BenchHarness.runOne(BenchHarness.stocks, 3, algo, dk, 2000)) ==
+        fields(BenchHarness.pass(in, algo, dk)), s"$algo $dk")
   }
 }
