@@ -43,8 +43,9 @@ class Fig5DSweepBench extends AnyFunSuite {
 
   test("reoptimization count decreases monotonically-ish with d") {
     // Higher d must not trigger more replans than d=0 on the same stream.
-    val rows = BenchHarness.dSweep(traffic, AlgoKind.Greedy, Seq(4), Seq(0.0, 0.5), 20000)
-    val byD = rows.map(r => r.method -> r.reoptimizations).toMap
-    assert(byD("invariant(d=0.50)") <= byD("invariant(d=0.00)"))
+    // dSweep yields its rows in the order of the d values.
+    val Seq(atD0, atD05) =
+      BenchHarness.dSweep(traffic, AlgoKind.Greedy, Seq(4), Seq(0.0, 0.5), 20000).map(_.reoptimizations): @unchecked
+    assert(atD05 <= atD0)
   }
 }

@@ -3,7 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.harness.BenchHarness
 import repro.harness.BenchHarness.Row
-import repro.spark.AlgoKind
+import repro.spark.{AlgoKind, DecisionKind}
 
 /** Shared body of the Figures 6–9 method-comparison benches. Each concrete
   * suite reproduces one figure's four panels as a table: (a) throughput,
@@ -25,13 +25,17 @@ abstract class MethodComparisonBench(
   private lazy val rows: Seq[Row] =
     BenchHarness.methodComparison(ds, algo, BenchDefaults.lengths, BenchDefaults.nEvents)
 
-  private def byMethod(len: Int): Map[String, Row] =
-    rows.filter(_.patternLen == len).map(r => (r.method.takeWhile(_ != '('), r)).toMap
+  private val Seq(static_, uncond, thr, inv) = BenchHarness.methods(algo): @unchecked
 
-  private def mean(method: String): Double = {
-    val xs = BenchDefaults.lengths.map(l => byMethod(l)(method).throughputEvS)
+  private def row(len: Int, method: DecisionKind): Row =
+    rows.find(r => r.patternLen == len && r.method == method).get
+
+  private def mean(method: DecisionKind)(metric: Row => Double): Double = {
+    val xs = BenchDefaults.lengths.map(l => metric(row(l, method)))
     xs.sum / xs.size
   }
+
+  private def meanThr(method: DecisionKind): Double = mean(method)(_.throughputEvS)
 
   test(s"$figure: run and print the method-comparison table") {
     BenchDefaults.emit(s"$figure ${ds.name} x ${rows.head.algo}", rows)
@@ -47,50 +51,42 @@ abstract class MethodComparisonBench(
   }
 
   test(s"$figure: adaptive methods beat the static plan on average (Figs 6b-9b)") {
-    assert(mean("invariant") > mean("static"),
-      s"invariant=${mean("invariant")} static=${mean("static")}")
+    assert(meanThr(inv) > meanThr(static_), s"invariant=${meanThr(inv)} static=${meanThr(static_)}")
   }
 
   test(s"$figure: invariant throughput ≥ every alternative on aggregate, within noise") {
-    val inv = mean("invariant")
-    assert(inv >= mean("unconditional") * 0.85, s"vs uncond ${mean("unconditional")}")
-    assert(inv >= mean("threshold") * 0.85, s"vs threshold ${mean("threshold")}")
-    assert(inv >= mean("static") * 1.0)
+    val invThr = meanThr(inv)
+    assert(invThr >= meanThr(uncond) * 0.85, s"vs uncond ${meanThr(uncond)}")
+    assert(invThr >= meanThr(thr) * 0.85, s"vs threshold ${meanThr(thr)}")
+    assert(invThr >= meanThr(static_) * 1.0)
   }
 
   test(s"$figure: invariant method invokes A far less often than threshold/unconditional") {
     BenchDefaults.lengths.foreach { len =>
-      val m = byMethod(len)
-      assert(m("invariant").plannerRuns * 2 <= m("threshold").plannerRuns,
-        s"len=$len: inv ${m("invariant").plannerRuns} vs thr ${m("threshold").plannerRuns}")
-      assert(m("invariant").plannerRuns * 2 <= m("unconditional").plannerRuns,
-        s"len=$len")
+      val (i, t, u) = (row(len, inv), row(len, thr), row(len, uncond))
+      assert(i.plannerRuns * 2 <= t.plannerRuns, s"len=$len: inv ${i.plannerRuns} vs thr ${t.plannerRuns}")
+      assert(i.plannerRuns * 2 <= u.plannerRuns, s"len=$len")
       // Unconditional runs A on every single decision evaluation.
-      assert(m("unconditional").plannerRuns >= BenchDefaults.nEvents / 64 - 2)
+      assert(u.plannerRuns >= BenchDefaults.nEvents / 64 - 2)
     }
   }
 
   test(s"$figure: invariant needs no more reoptimizations than the alternatives (Figs 6c-9c)") {
     BenchDefaults.lengths.foreach { len =>
-      val m = byMethod(len)
-      assert(m("invariant").reoptimizations <= m("unconditional").reoptimizations,
-        s"len=$len")
-      assert(m("invariant").reoptimizations <= m("threshold").reoptimizations * 3 / 2 + 5,
-        s"len=$len: inv ${m("invariant").reoptimizations} vs thr ${m("threshold").reoptimizations}")
-      assert(m("static").reoptimizations == 0)
+      val (i, t, u) = (row(len, inv), row(len, thr), row(len, uncond))
+      assert(i.reoptimizations <= u.reoptimizations, s"len=$len")
+      assert(i.reoptimizations <= t.reoptimizations * 3 / 2 + 5,
+        s"len=$len: inv ${i.reoptimizations} vs thr ${t.reoptimizations}")
+      assert(row(len, static_).reoptimizations == 0)
     }
   }
 
   test(s"$figure: unconditional reoptimization has the highest D+A overhead (Figs 6d-9d)") {
     // Aggregated across lengths — per-length nano-accounting is noisy.
-    def meanOvh(method: String) = {
-      val xs = BenchDefaults.lengths.map(l => byMethod(l)(method).overheadPct)
-      xs.sum / xs.size
-    }
-    assert(meanOvh("unconditional") >= meanOvh("invariant"),
-      s"uncond ${meanOvh("unconditional")}% vs invariant ${meanOvh("invariant")}%")
-    assert(meanOvh("static") < 0.5)
-    assert(meanOvh("invariant") < 5.0, "invariant overhead must stay negligible")
+    def meanOvh(method: DecisionKind) = mean(method)(_.overheadPct)
+    assert(meanOvh(uncond) >= meanOvh(inv), s"uncond ${meanOvh(uncond)}% vs invariant ${meanOvh(inv)}%")
+    assert(meanOvh(static_) < 0.5)
+    assert(meanOvh(inv) < 5.0, "invariant overhead must stay negligible")
   }
 }
 

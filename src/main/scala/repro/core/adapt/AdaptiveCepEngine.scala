@@ -33,10 +33,11 @@ final class AdaptiveCounters extends Serializable {
   * engines with start times `s₁ < s₂ < …` (a replacement decided at ts `t`
   * starts its engine at `t + 1`). Each engine emits only the matches of its
   * ownership interval `[s_k, s_{k+1})` (see [[Engine]]), and is dropped once
-  * `s_{k+1} ≤ now − W`. Timestamps must be non-decreasing; equal timestamps
-  * are allowed. The reported match set is therefore *exactly* the same as an
-  * unswitched run (tested), while the overlap's double processing is
-  * physically incurred — the deployment cost the paper measures.
+  * `s_{k+1} ≤ now − W`. Timestamps must be non-decreasing: equal timestamps
+  * are allowed, and an event earlier than the last one is rejected. The
+  * reported match set is therefore *exactly* the same as an unswitched run
+  * (tested), while the overlap's double processing is physically incurred —
+  * the deployment cost the paper measures.
   *
   * `D` is evaluated every `statPeriod` events; time spent in `D` and `A` is
   * accounted separately (the paper's "computational overhead").
@@ -58,6 +59,7 @@ final class AdaptiveCepEngine(
   private var engines: Vector[Engine] = Vector.empty
   private var _currentPlan: EvalPlan = _
   private var sinceDecision = 0
+  private var lastTs = Long.MinValue
 
   locally {
     val s0 = initialStats.getOrElse(repro.core.stats.Stats.default(pattern))
@@ -84,9 +86,13 @@ final class AdaptiveCepEngine(
   private val out = new mutable.ArrayBuffer[Array[Event]]
 
   /** Process one event; returns the full matches it completed (events by
-    * pattern position).
+    * pattern position). Throws `IllegalArgumentException` if `e.ts` is below
+    * the last timestamp seen.
     */
   def onEvent(e: Event): Seq[Array[Event]] = {
+    if (e.ts < lastTs)
+      throw new IllegalArgumentException(s"late event ${e.id}: ts ${e.ts} is below the last ts $lastTs")
+    lastTs = e.ts
     monitor.observe(e)
     if (!pattern.typeToPos.contains(e.etype)) return Nil
     counters.events += 1

@@ -12,7 +12,6 @@ import repro.core.stats.Stats
   * functions reset their baseline / invariant list.
   */
 trait Decision extends Serializable {
-  def name: String
   def shouldReoptimize(stats: Stats): Boolean
   def rearm(stats: Stats, dcs: Vector[Vector[InvariantCond]]): Unit = ()
 
@@ -24,7 +23,6 @@ trait Decision extends Serializable {
 
 /** No adaptation — the "static plan" baseline of the paper's experiments. */
 final class StaticDecision extends Decision {
-  def name = "static"
   def shouldReoptimize(stats: Stats): Boolean = false
 }
 
@@ -33,7 +31,6 @@ final class StaticDecision extends Decision {
   * unconditionally returning true").
   */
 final class UnconditionalDecision extends Decision {
-  def name = "unconditional"
   def shouldReoptimize(stats: Stats): Boolean = true
 }
 
@@ -44,7 +41,6 @@ final class UnconditionalDecision extends Decision {
   * default `Stat` of the pattern.
   */
 final class ThresholdDecision(val pattern: Pattern, val t: Double) extends Decision {
-  def name = s"threshold(t=$t)"
   private var baseline: Array[Double] = Stats.default(pattern).monitoredValues
   private var checks = 0L
 
@@ -72,9 +68,8 @@ final class ThresholdDecision(val pattern: Pattern, val t: Double) extends Decis
   * `d` (distance-based invariants, §3.4). Invariants are verified in building
   * block order, i.e. plan order / leaves-to-root (§3.2).
   */
-final class InvariantDecision(val d: Double, val k: Int = 1) extends Decision {
+final class InvariantDecision(val d: Double, val k: Int) extends Decision {
   require(d >= 0.0 && k >= 1)
-  def name = s"invariant(d=$d,K=${if (k == Int.MaxValue) "all" else k})"
 
   private var invariants: Vector[InvariantCond] = Vector.empty
   private var checks = 0L

@@ -37,8 +37,6 @@ final case class GreedyCond(
   * fully deterministic as Theorems 1–2 require.
   */
 final class GreedyOrderPlanner(val pattern: Pattern) extends Planner {
-  def name: String = "greedy"
-
   def generate(stats: Stats): PlanResult = {
     var remaining = Vector.range(0, pattern.n)
     var prefix = Vector.empty[Int]

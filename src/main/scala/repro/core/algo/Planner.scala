@@ -39,8 +39,6 @@ final case class PlanResult(plan: EvalPlan, dcs: Vector[Vector[InvariantCond]])
   * expose the deciding condition sets of the plan it produced (paper §3.1).
   */
 trait Planner extends Serializable {
-  def name: String
-
   /** Run `A` on the given statistics. */
   def generate(stats: Stats): PlanResult
 

@@ -65,8 +65,6 @@ final case class TreeCond(chosen: InnerNode, other: InnerNode, creationSlack: Do
   * toward the leftmost split point.
   */
 final class ZStreamPlanner(val pattern: Pattern) extends Planner {
-  def name: String = "zstream"
-
   def generate(stats: Stats): PlanResult = {
     val n = pattern.n
     // DP state per range [lo, hi]: the costs of the splits it compared

@@ -22,8 +22,8 @@ object BenchHarness {
   /** One table row ≙ one (pattern length, method) cell of a figure. */
   final case class Row(
       dataset: String,
-      algo: String,
-      method: String,
+      algo: AlgoKind,
+      method: DecisionKind,
       patternLen: Int,
       events: Long,
       matches: Long,
@@ -144,7 +144,7 @@ object BenchHarness {
     while (i < in.events.length) { eng.onEvent(in.events(i)); i += 1 }
     val elapsed = System.nanoTime() - t0
     val c = eng.counters
-    Row(in.ds.name, eng.planner.name, eng.decision.name, in.len, c.events, c.matches,
+    Row(in.ds.name, algo, decision, in.len, c.events, c.matches,
       c.events.toDouble / (elapsed / 1e9), Double.NaN, c.replacements, c.plannerRuns,
       100.0 * (c.nanosInDecision + c.nanosInPlanner) / elapsed)
   }
@@ -177,15 +177,14 @@ object BenchHarness {
   def dSweep(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], dValues: Seq[Double], nEvents: Int): Seq[Row] =
     for (len <- lengths; d <- dValues)
       yield runOne(ds, len, algo, DecisionKind.Invariant(d, k(algo)), nEvents)
-        .copy(method = f"invariant(d=$d%.2f)")
 
   def printTable(title: String, rows: Seq[Row]): Unit = {
     println(s"\n=== $title ===")
-    println(f"${"dataset"}%-8s ${"algo"}%-8s ${"method"}%-26s ${"len"}%3s " +
+    println(f"${"dataset"}%-8s ${"algo"}%-8s ${"method"}%-18s ${"len"}%3s " +
       f"${"events"}%8s ${"matches"}%9s ${"ev/s"}%11s ${"gain"}%6s ${"reopts"}%6s ${"Aruns"}%6s ${"ovh%"}%6s")
     rows.foreach { r =>
       val gain = if (r.gainVsStatic.isNaN) "  -" else f"${r.gainVsStatic}%5.2fx"
-      println(f"${r.dataset}%-8s ${r.algo}%-8s ${r.method}%-26s ${r.patternLen}%3d " +
+      println(f"${r.dataset}%-8s ${r.algo}%-8s ${r.method}%-18s ${r.patternLen}%3d " +
         f"${r.events}%8d ${r.matches}%9d ${r.throughputEvS}%11.0f $gain%6s ${r.reoptimizations}%6d " +
         f"${r.plannerRuns}%6d ${r.overheadPct}%6.2f")
     }

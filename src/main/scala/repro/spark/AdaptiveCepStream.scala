@@ -28,8 +28,10 @@ object CepMatch {
   * Events are keyed by `keyOf` (logical sub-stream; CEP matching is
   * order-sensitive, so parallelism is per key) and ts-sorted within each
   * micro-batch; batches must arrive in event-time order per key, which holds
-  * for the in-order sources used here. On a static Dataset the whole group is
-  * one batch, sorted by `(ts, id)`, which makes this also the batch operator.
+  * for the in-order sources used here; an event older than its key's last
+  * one fails the query (`AdaptiveCepEngine.onEvent` rejects it). On a static
+  * Dataset the whole group is one batch, sorted by `(ts, id)`, which makes
+  * this also the batch operator.
   */
 object AdaptiveCepStream {
 

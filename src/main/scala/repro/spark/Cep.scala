@@ -18,7 +18,7 @@ object DecisionKind {
   case object Static extends DecisionKind
   case object Unconditional extends DecisionKind
   final case class Threshold(t: Double) extends DecisionKind
-  final case class Invariant(d: Double, k: Int = 1) extends DecisionKind
+  final case class Invariant(d: Double, k: Int) extends DecisionKind
 }
 
 /** Serializable configuration of an adaptive CEP run — shipped into Spark

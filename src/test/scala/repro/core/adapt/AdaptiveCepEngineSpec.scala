@@ -152,10 +152,27 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     val evs = StockGen.events(3, 4000, stepEvery = 500, seed = 51)
     val eng = Cep.makeEngine(pattern3,
       CepConfig(AlgoKind.Greedy, DecisionKind.Unconditional, statPeriod = 50))
-    evs.foreach(eng.onEvent)
-    val c = eng.counters
-    assert(c.plannerRuns == c.replacements + c.fruitlessRuns)
-    assert(c.fruitlessRuns > 0, "stable stretches must yield fruitless runs")
+    // ts is the arrival index, so D runs at ts ≡ 49 (mod 50) and an engine
+    // retires at a replacement's ts + 61 (window 60): never on a D event.
+    evs.foreach { e =>
+      val (plan, live, fruitless) = (eng.currentPlan, eng.liveEngines, eng.counters.fruitlessRuns)
+      eng.onEvent(e)
+      if (eng.counters.fruitlessRuns > fruitless) {
+        assert(eng.currentPlan eq plan, s"a fruitless A run at ts ${e.ts} replaced the plan")
+        assert(eng.liveEngines == live, s"a fruitless A run at ts ${e.ts} deployed an engine")
+      }
+    }
+    assert(eng.counters.fruitlessRuns > 0, "stable stretches must yield fruitless runs")
+  }
+
+  test("a late event is rejected; an event at the last ts is accepted") {
+    val eng = Cep.makeEngine(pattern3, CepConfig(AlgoKind.Greedy, DecisionKind.Unconditional))
+    Seq(Event(0, 10, 0, 0, 0), Event(1, 12, 1, 0, 0), Event(2, 12, 2, 0, 0)).foreach(eng.onEvent)
+    val e = intercept[IllegalArgumentException](eng.onEvent(Event(3, 11, 0, 0, 0)))
+    assert(e.getMessage.contains("ts 11") && e.getMessage.contains("ts 12"), e.getMessage)
+    assert(eng.counters.events == 3)
+    eng.onEvent(Event(4, 12, 0, 0, 0))
+    assert(eng.counters.events == 4)
   }
 
   test("initial plan comes from the provided initial statistics") {

@@ -24,8 +24,7 @@ class FigureCountersSpec extends AnyFunSuite {
     val in = new BenchHarness.CellInput(ds, len, Events)
     def pass(dk: DecisionKind) = BenchHarness.pass(in, algo, dk)
     val rows = BenchHarness.methods(algo).map(pass)
-    val m = rows.map(r => r.method.takeWhile(_ != '(') -> r).toMap
-    val (static_, uncond, thr, inv) = (m("static"), m("unconditional"), m("threshold"), m("invariant"))
+    val Seq(static_, uncond, thr, inv) = rows: @unchecked
     assert(inv.plannerRuns <= thr.plannerRuns && thr.plannerRuns <= uncond.plannerRuns,
       s"A runs: invariant ${inv.plannerRuns}, threshold ${thr.plannerRuns}, unconditional ${uncond.plannerRuns}")
     assert(inv.reoptimizations <= uncond.reoptimizations,

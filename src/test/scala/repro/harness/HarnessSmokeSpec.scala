@@ -30,8 +30,8 @@ class HarnessSmokeSpec extends AnyFunSuite {
   test("methodComparison emits one row per (length, method) with paired gains") {
     val rows = BenchHarness.methodComparison(BenchHarness.stocks, AlgoKind.Greedy,
       lengths = Seq(3), nEvents = 2000)
-    assert(rows.size == 4)
-    val static_ = rows.find(_.method == "static").get
+    assert(rows.map(_.method) == BenchHarness.methods(AlgoKind.Greedy))
+    val static_ = rows.find(_.method == DecisionKind.Static).get
     assert(math.abs(static_.gainVsStatic - 1.0) < 1e-9)
     assert(rows.forall(_.events == 2000))
     // Same seed → identical streams → identical match counts across methods.
@@ -41,7 +41,7 @@ class HarnessSmokeSpec extends AnyFunSuite {
   test("dSweep emits one row per (length, d)") {
     val rows = BenchHarness.dSweep(BenchHarness.traffic, AlgoKind.Greedy,
       lengths = Seq(3), dValues = Seq(0.0, 0.3), nEvents = 2000)
-    assert(rows.size == 2)
+    assert(rows.map(_.method) == Seq(0.0, 0.3).map(DecisionKind.Invariant(_, BenchHarness.k(AlgoKind.Greedy))))
     assert(rows.map(_.matches).distinct.size == 1)
   }
 
