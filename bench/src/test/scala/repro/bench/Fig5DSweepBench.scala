@@ -3,7 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.harness.BenchHarness
 import repro.harness.BenchHarness.{stocks, traffic}
-import repro.spark.AlgoKind
+import repro.spark.{AlgoKind, DecisionKind}
 
 /** Figure 5: throughput of the invariant-based method as a function of the
   * pattern size and the invariant distance d, for all four dataset×algorithm
@@ -17,8 +17,11 @@ class Fig5DSweepBench extends AnyFunSuite {
   private val lengths = Seq(3, 5)
   private val n = BenchDefaults.nEvents
 
+  private def invariants(algo: AlgoKind, d: Seq[Double]): Seq[DecisionKind] =
+    d.map(DecisionKind.Invariant(_, BenchHarness.k(algo)))
+
   private def sweep(ds: BenchHarness.DatasetSpec, algo: AlgoKind, label: String): Unit = {
-    val rows = BenchHarness.dSweep(ds, algo, lengths, dValues, n)
+    val rows = BenchHarness.table(ds, algo, lengths, invariants(algo, dValues), n)
     BenchDefaults.emit(s"Fig5 $label: throughput vs d", rows)
     // Structural check, not a timing assertion: every cell ran the full
     // stream and the match sets agree across d (paired streams).
@@ -43,9 +46,9 @@ class Fig5DSweepBench extends AnyFunSuite {
 
   test("reoptimization count decreases monotonically-ish with d") {
     // Higher d must not trigger more replans than d=0 on the same stream.
-    // dSweep yields its rows in the order of the d values.
-    val Seq(atD0, atD05) =
-      BenchHarness.dSweep(traffic, AlgoKind.Greedy, Seq(4), Seq(0.0, 0.5), 20000).map(_.reoptimizations): @unchecked
+    // table yields its rows in the order of the decisions.
+    val Seq(atD0, atD05) = BenchHarness.table(traffic, AlgoKind.Greedy, Seq(4),
+      invariants(AlgoKind.Greedy, Seq(0.0, 0.5)), 20000).map(_.reoptimizations): @unchecked
     assert(atD05 <= atD0)
   }
 }

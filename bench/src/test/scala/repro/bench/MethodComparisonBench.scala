@@ -23,7 +23,7 @@ abstract class MethodComparisonBench(
 ) extends AnyFunSuite {
 
   private lazy val rows: Seq[Row] =
-    BenchHarness.methodComparison(ds, algo, BenchDefaults.lengths, BenchDefaults.nEvents)
+    BenchHarness.table(ds, algo, BenchDefaults.lengths, BenchHarness.methods(algo), BenchDefaults.nEvents)
 
   private val Seq(static_, uncond, thr, inv) = BenchHarness.methods(algo): @unchecked
 

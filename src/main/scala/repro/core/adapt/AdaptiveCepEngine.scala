@@ -40,19 +40,18 @@ final class AdaptiveCounters extends Serializable {
   * the deployment cost the paper measures.
   *
   * `D` is evaluated every `statPeriod` events; time spent in `D` and `A` is
-  * accounted separately (the paper's "computational overhead").
+  * accounted separately (the paper's "computational overhead"). The
+  * monitor's window factor and seed are `StatisticsMonitor`'s constants.
   */
 final class AdaptiveCepEngine(
     val pattern: Pattern,
     val planner: Planner,
     val decision: Decision,
     val statPeriod: Int,
-    statWindowFactor: Int,
     initialStats: Option[repro.core.stats.Stats],
-    seed: Long,
 ) extends Serializable {
 
-  val monitor = new StatisticsMonitor(pattern, pattern.window * statWindowFactor, seed = seed)
+  val monitor = new StatisticsMonitor(pattern, pattern.window * StatisticsMonitor.StatWindowFactor)
   val counters = new AdaptiveCounters
 
   /** Active engines, oldest first; each owns the matches from its start up to the next one's. */

@@ -56,15 +56,16 @@ object Stats {
   * sliding-window selectivity estimators the paper cites ([13]).
   *
   * @param pattern     monitored pattern
-  * @param statWindow  sliding window (ticks) for rate estimation; typically a
-  *                    few pattern windows long
+  * @param statWindow  sliding window (ticks) for rate estimation; the
+  *                    adaptive loop uses `StatWindowFactor` pattern windows
   * @param ewmaAlpha   EWMA smoothing factor for selectivity estimates
+  * @param seed        seed of the partner sampling
   */
 final class StatisticsMonitor(
     val pattern: Pattern,
     val statWindow: Long,
     val ewmaAlpha: Double = 0.02,
-    seed: Long = 17L,
+    seed: Long = StatisticsMonitor.Seed,
 ) extends Serializable {
   private val n = pattern.n
   private val rnd = new scala.util.Random(seed)
@@ -127,6 +128,12 @@ final class StatisticsMonitor(
 }
 
 object StatisticsMonitor {
+  /** The adaptive loop's rate window, in pattern windows. */
+  final val StatWindowFactor = 4
+
+  /** Default seed of the partner sampling, the one every adaptive loop uses. */
+  final val Seed = 17L
+
   /** Per-position ring buffer capacity for partner sampling. */
   private final val RingCapacity = 48
 }

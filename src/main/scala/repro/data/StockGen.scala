@@ -11,34 +11,25 @@ import scala.util.Random
   * mostly minor* changes. We reproduce that regime:
   *
   *  - type weights start uniform and follow a multiplicative random walk —
-  *    every `stepEvery` events each weight is multiplied by
-  *    `exp(N(0, stepSigma))` and the vector renormalized (frequent, small
-  *    rate changes that occasionally accumulate into rank swaps);
-  *  - attribute a0 ("price diff") is a gaussian whose per-type mean can
-  *    also follow a random walk (`driftSigma`). The stocks dataset of the
-  *    figures (`BenchHarness.stocks`) sets `driftSigma = 0`, so its means
-  *    stay at 0 and the ordering-predicate selectivities at about 0.5; the
-  *    walk's draws are still taken, so the stream depends on them. The
-  *    defaults below (`stepEvery` 1000, `stepSigma` 0.15, `driftSigma`
-  *    0.08) are used only by tests.
+  *    every `StepEvery` (400) events each weight is multiplied by
+  *    `exp(N(0, StepSigma))` with `StepSigma` 0.10, and the vector is
+  *    renormalized (frequent, small rate changes that occasionally
+  *    accumulate into rank swaps);
+  *  - attribute a0 ("price diff") is a standard gaussian for every type, so
+  *    the ordering-predicate selectivities stay at about 0.5.
   *
-  * Deterministic in (params, seed). Timestamps are the arrival index.
+  * Deterministic in (n, count, seed). Timestamps and ids are the arrival
+  * index.
   */
 object StockGen {
 
-  def events(
-      n: Int,
-      count: Int,
-      stepEvery: Int = 1000,
-      stepSigma: Double = 0.15,
-      driftSigma: Double = 0.08,
-      seed: Long = 29L,
-      firstId: Long = 0L,
-  ): IndexedSeq[Event] = {
-    require(n >= 1 && count >= 0 && stepEvery >= 1)
+  private final val StepEvery = 400
+  private final val StepSigma = 0.10
+
+  def events(n: Int, count: Int, seed: Long): IndexedSeq[Event] = {
+    require(n >= 1 && count >= 0)
     val rnd = new Random(seed)
     val w = Array.fill(n)(1.0 / n)
-    val diffMean = Array.fill(n)(0.0)
     val out = new Array[Event](count)
 
     def renormalize(): Unit = {
@@ -50,11 +41,11 @@ object StockGen {
 
     var i = 0
     while (i < count) {
-      if (i > 0 && i % stepEvery == 0) {
+      if (i > 0 && i % StepEvery == 0) {
         var t = 0
         while (t < n) {
-          w(t) *= math.exp(rnd.nextGaussian() * stepSigma)
-          diffMean(t) += rnd.nextGaussian() * driftSigma
+          w(t) *= math.exp(rnd.nextGaussian() * StepSigma)
+          rnd.nextGaussian() // unused, but dropping it would change every stream after the first step
           t += 1
         }
         renormalize()
@@ -62,8 +53,7 @@ object StockGen {
       var u = rnd.nextDouble()
       var et = 0
       while (et < n - 1 && u >= w(et)) { u -= w(et); et += 1 }
-      val diff = diffMean(et) + rnd.nextGaussian() * 1.0
-      out(i) = Event(firstId + i, i.toLong, et, diff, 0.0)
+      out(i) = Event(i.toLong, i.toLong, et, rnd.nextGaussian(), 0.0)
       i += 1
     }
     scala.collection.immutable.ArraySeq.unsafeWrapArray(out)

@@ -28,7 +28,8 @@ import scala.util.Random
   *    whose per-type means are tied to the current rank assignment, so
   *    predicate selectivities shift together with the rates.
   *
-  * Deterministic in (params, seed). Timestamps are the arrival index.
+  * Deterministic in (n, count, epochs, seed). Timestamps and ids are the
+  * arrival index.
   */
 object TrafficGen {
 
@@ -53,7 +54,6 @@ object TrafficGen {
       count: Int,
       epochs: Int = 4,
       seed: Long = 11L,
-      firstId: Long = 0L,
   ): IndexedSeq[Event] = {
     require(n >= 1 && count >= 0 && epochs >= 1)
     val rnd = new Random(seed)
@@ -86,7 +86,7 @@ object TrafficGen {
       val meanRank = rank
       val speed = 20.0 + 12.0 * meanRank + rnd.nextGaussian() * 18.0
       val cars = 100.0 - 10.0 * meanRank + rnd.nextGaussian() * 35.0
-      out(i) = Event(firstId + i, i.toLong, et, speed, cars)
+      out(i) = Event(i.toLong, i.toLong, et, speed, cars)
       i += 1
     }
     scala.collection.immutable.ArraySeq.unsafeWrapArray(out)

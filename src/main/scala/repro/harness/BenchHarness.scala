@@ -6,8 +6,8 @@ import repro.data.{StockGen, TrafficGen}
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
 
 /** Shared experiment harness reproducing the paper's evaluation (§5): each
-  * of Figures 5–9 is regenerated as a printed table by one bench suite
-  * built on this harness.
+  * of Figures 5–9 is regenerated as a printed table, built by `table`, in
+  * one bench suite.
   *
   * A run feeds a deterministic synthetic event stream (traffic or stocks
   * regime, see `repro.data`) through the detection-adaptation loop and
@@ -34,23 +34,22 @@ object BenchHarness {
       overheadPct: Double, // time in D + A over total (Figs 6d-9d)
   )
 
-  /** Traffic-regime pattern: SEQ of n observation points where both average
-    * speed and vehicle count decline along the sequence (the "violation of
-    * normal driving behavior" pattern of §5.1).
+  /** Traffic-regime pattern: SEQ of n observation points within 300 ticks
+    * where both average speed and vehicle count decline along the sequence
+    * (the "violation of normal driving behavior" pattern of §5.1).
     */
-  def trafficPattern(n: Int, window: Long): Pattern =
-    Pattern.seq(n, window,
+  def trafficPattern(n: Int): Pattern =
+    Pattern.seq(n, 300,
       (0 until n - 1).flatMap(i => Vector(
         Predicate(i, i + 1, attr = 0, PredOp.Gt),
         Predicate(i, i + 1, attr = 1, PredOp.Gt),
       )).toVector)
 
-  /** Stocks-regime pattern: SEQ of n stock identifiers with ascending price
-    * differences (`A.diff < B.diff < …`, §5.1).
+  /** Stocks-regime pattern: SEQ of n stock identifiers within 150 ticks with
+    * ascending price differences (`A.diff < B.diff < …`, §5.1).
     */
-  def stockPattern(n: Int, window: Long): Pattern =
-    Pattern.seq(n, window,
-      (0 until n - 1).map(i => Predicate(i, i + 1, attr = 0, PredOp.Lt)).toVector)
+  def stockPattern(n: Int): Pattern =
+    Pattern.seq(n, 150, (0 until n - 1).map(i => Predicate(i, i + 1, attr = 0, PredOp.Lt)).toVector)
 
   /** Dataset registry: name → (event generator, pattern factory). */
   final case class DatasetSpec(
@@ -59,18 +58,10 @@ object BenchHarness {
       gen: (Int, Int, Long) => IndexedSeq[Event], // (nTypes, count, seed)
   )
 
-  val traffic: DatasetSpec = DatasetSpec(
-    "traffic",
-    pattern = n => trafficPattern(n, 300),
-    gen = (n, count, seed) => TrafficGen.events(n, count, epochs = 4, seed = seed),
-  )
+  val traffic: DatasetSpec = DatasetSpec("traffic", trafficPattern,
+    (n, count, seed) => TrafficGen.events(n, count, epochs = 4, seed = seed))
 
-  val stocks: DatasetSpec = DatasetSpec(
-    "stocks",
-    pattern = n => stockPattern(n, 150),
-    gen = (n, count, seed) =>
-      StockGen.events(n, count, stepEvery = 400, stepSigma = 0.10, driftSigma = 0.0, seed = seed),
-  )
+  val stocks: DatasetSpec = DatasetSpec("stocks", stockPattern, StockGen.events)
 
   /** The tuned knobs of Figs 6–9, the same on both datasets: t_opt and d_opt
     * were found by sweeps over t and d (Fig 5 bench, EXPERIMENTS.md),
@@ -149,34 +140,30 @@ object BenchHarness {
       100.0 * (c.nanosInDecision + c.nanosInPlanner) / elapsed)
   }
 
-  /** Run one (dataset, length, algo, method) cell and return the fastest of
-    * `Reps` passes (fresh engine each, identical stream): standard
-    * microbenchmark hygiene against GC/JIT/scheduler noise. Counters are the
-    * same in every pass.
+  /** Run one method on a cell and return the fastest of `Reps` passes (fresh
+    * engine each, identical stream): standard microbenchmark hygiene against
+    * GC/JIT/scheduler noise. Counters are the same in every pass.
     */
-  def runOne(ds: DatasetSpec, len: Int, algo: AlgoKind, decision: DecisionKind, nEvents: Int): Row = {
+  private[harness] def runOne(in: CellInput, algo: AlgoKind, decision: DecisionKind): Row = {
     require(jitWarmed)
-    val in = new CellInput(ds, len, nEvents)
     Iterator.fill(Reps)(pass(in, algo, decision)).maxBy(_.throughputEvS)
   }
 
-  /** The method-comparison table of Figs 6–9 for one dataset × algorithm:
-    * rows = pattern length × `methods(algo)`, each with its throughput gain
-    * over the static row of its length.
+  /** One figure table for a dataset × algorithm: rows = pattern length ×
+    * `decisions`, in that order, each cell's input built once per length.
+    * Figs 6–9 pass `methods(algo)`; Fig 5 passes the invariant method at each
+    * d. Where a length has a `Static` row, every row of that length carries
+    * its throughput gain over it; otherwise the gain is unset (NaN).
     */
-  def methodComparison(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], nEvents: Int): Seq[Row] =
+  def table(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], decisions: Seq[DecisionKind],
+      nEvents: Int): Seq[Row] =
     lengths.flatMap { len =>
-      val rows = methods(algo).map(runOne(ds, len, algo, _, nEvents))
-      val staticThr = rows.head.throughputEvS
-      rows.map(r => r.copy(gainVsStatic = r.throughputEvS / staticThr))
+      val in = new CellInput(ds, len, nEvents)
+      val rows = decisions.map(runOne(in, algo, _))
+      rows.find(_.method == DecisionKind.Static).fold(rows) { static_ =>
+        rows.map(r => r.copy(gainVsStatic = r.throughputEvS / static_.throughputEvS))
+      }
     }
-
-  /** The distance sweep of Fig. 5 for one dataset × algorithm: rows =
-    * pattern length × d, with K = `k(algo)`.
-    */
-  def dSweep(ds: DatasetSpec, algo: AlgoKind, lengths: Seq[Int], dValues: Seq[Double], nEvents: Int): Seq[Row] =
-    for (len <- lengths; d <- dValues)
-      yield runOne(ds, len, algo, DecisionKind.Invariant(d, k(algo)), nEvents)
 
   def printTable(title: String, rows: Seq[Row]): Unit = {
     println(s"\n=== $title ===")

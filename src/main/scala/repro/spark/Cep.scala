@@ -3,7 +3,7 @@ package repro.spark
 import repro.core.Pattern
 import repro.core.adapt._
 import repro.core.algo.{GreedyOrderPlanner, Planner, ZStreamPlanner}
-import repro.core.stats.Stats
+import repro.core.stats.{StatisticsMonitor, Stats}
 
 /** Which plan-generation algorithm `A` to use (paper §4). */
 sealed trait AlgoKind extends Serializable
@@ -23,14 +23,18 @@ object DecisionKind {
 
 /** Serializable configuration of an adaptive CEP run — shipped into Spark
   * task closures, from which the engine is instantiated on the executor.
+  * `D` runs every `statPeriod` events. The monitor's window factor and seed
+  * are fixed by `StatisticsMonitor`; `statWindowFactor` and `seed` only read
+  * them back for code that builds its own monitor.
   */
 final case class CepConfig(
     algo: AlgoKind = AlgoKind.Greedy,
     decision: DecisionKind = DecisionKind.Invariant(0.0, 1),
     statPeriod: Int = 64,
-    statWindowFactor: Int = 4,
-    seed: Long = 17L,
-) extends Serializable
+) extends Serializable {
+  def statWindowFactor: Int = StatisticsMonitor.StatWindowFactor
+  def seed: Long = StatisticsMonitor.Seed
+}
 
 object Cep {
   def makePlanner(pattern: Pattern, algo: AlgoKind): Planner = algo match {
@@ -51,8 +55,6 @@ object Cep {
       makePlanner(pattern, cfg.algo),
       makeDecision(pattern, cfg.decision),
       statPeriod = cfg.statPeriod,
-      statWindowFactor = cfg.statWindowFactor,
       initialStats = initialStats,
-      seed = cfg.seed,
     )
 }

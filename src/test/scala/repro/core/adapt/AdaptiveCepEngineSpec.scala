@@ -3,7 +3,9 @@ package repro.core.adapt
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.plan.OrderPlan
+import repro.core.stats.StatisticsMonitor
 import repro.data.{StockGen, TrafficGen}
+import repro.harness.BenchHarness
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
 
 /** The detection-adaptation loop (Algorithm 1) with live plan switchover. */
@@ -16,8 +18,8 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
   private def flippingStream(n: Int, count: Int, seed: Long): Vector[Event] = {
     val half = count / 2
     (TrafficGen.events(n, half, epochs = 1, seed = seed) ++
-      TrafficGen.events(n, count - half, epochs = 1, seed = seed + 1, firstId = half)
-        .map(e => e.copy(ts = e.ts + half, etype = n - 1 - e.etype))).toVector
+      TrafficGen.events(n, count - half, epochs = 1, seed = seed + 1)
+        .map(e => e.copy(id = e.id + half, ts = e.ts + half, etype = n - 1 - e.etype))).toVector
   }
 
   private val pattern3 = Pattern.seq(3, 60)
@@ -94,10 +96,14 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(got == BruteForce.matches(p, evs))
   }
 
-  test("tied timestamps: matches across plan switches are unique and equal brute force (random SEQ/AND, n = 2-4, both planners)") {
-    val rnd = new scala.util.Random(59)
+  /** Random SEQ and AND patterns over `ns`, eight per planner, kind and
+    * length, each run adaptively (`A` every 5 events) on a stream of `count`
+    * events with tied ts.
+    */
+  private def checkTiedTimestamps(seed: Long, ns: Seq[Int], count: Int): Unit = {
+    val rnd = new scala.util.Random(seed)
     var replacements = 0L
-    for (algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream); conj <- Seq(false, true); n <- 2 to 4; _ <- 1 to 8) {
+    for (algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream); conj <- Seq(false, true); n <- ns; _ <- 1 to 8) {
       val preds = Vector.fill(rnd.nextInt(n + 1)) {
         val i = rnd.nextInt(n)
         val j = (i + 1 + rnd.nextInt(n - 1)) % n
@@ -108,7 +114,7 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
       // ts advances by 0 or 1 per event, so a plan switch decided at ts t is
       // often followed by more events at t.
       var ts = 0L
-      val evs = Vector.tabulate(400) { i =>
+      val evs = Vector.tabulate(count) { i =>
         ts += rnd.nextInt(2)
         Event(i.toLong, ts, rnd.nextInt(n + 1), rnd.nextDouble() * 10, rnd.nextDouble() * 10)
       }
@@ -122,6 +128,14 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(replacements > 0, "the runs must switch plans")
   }
 
+  test("tied timestamps: matches across plan switches are unique and equal brute force (random SEQ/AND, n = 2-4, both planners)") {
+    checkTiedTimestamps(59, 2 to 4, 400)
+  }
+
+  test("tied timestamps at n = 5: unique matches equal brute force") {
+    checkTiedTimestamps(61, Seq(5), 600)
+  }
+
   test("overlap window keeps two engines alive, then retires the old one") {
     val eng = Cep.makeEngine(pattern3,
       CepConfig(AlgoKind.Greedy, DecisionKind.Unconditional, statPeriod = 50))
@@ -131,8 +145,8 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(sawOverlap, "switchover must keep the old engine alive for a window")
     // After a long quiet tail the chain must collapse back to a single engine
     // within one window of the last replacement.
-    val tail = TrafficGen.events(3, 2000, epochs = 1, seed = 32, firstId = 10000)
-      .map(e => e.copy(ts = e.ts + 4000))
+    val tail = TrafficGen.events(3, 2000, epochs = 1, seed = 32)
+      .map(e => e.copy(id = e.id + 10000, ts = e.ts + 4000))
     // Static tail: rates stable → unconditional still replans but plans equal.
     tail.foreach(eng.onEvent)
     assert(eng.liveEngines <= 2)
@@ -149,7 +163,7 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
   }
 
   test("fruitless planner runs are counted separately from replacements") {
-    val evs = StockGen.events(3, 4000, stepEvery = 500, seed = 51)
+    val evs = StockGen.events(3, 4000, seed = 51)
     val eng = Cep.makeEngine(pattern3,
       CepConfig(AlgoKind.Greedy, DecisionKind.Unconditional, statPeriod = 50))
     // ts is the arrival index, so D runs at ts ≡ 49 (mod 50) and an engine
@@ -173,6 +187,23 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(eng.counters.events == 3)
     eng.onEvent(Event(4, 12, 0, 0, 0))
     assert(eng.counters.events == 4)
+  }
+
+  test("engine monitor equals a default monitor over 4 windows") {
+    // What a warm-up built outside the engine relies on to get the engine's
+    // initial statistics.
+    for (ds <- Seq(BenchHarness.traffic, BenchHarness.stocks)) {
+      val p = ds.pattern(5)
+      val own = Cep.makeEngine(p, CepConfig(AlgoKind.ZStream, DecisionKind.Unconditional)).monitor
+      val bare = new StatisticsMonitor(p, p.window * 4)
+      for (e <- ds.gen(5, 6000, 90017L)) {
+        own.observe(e)
+        bare.observe(e)
+        if (e.ts % 500 == 499)
+          assert(own.snapshot(e.ts).monitoredValues.toSeq == bare.snapshot(e.ts).monitoredValues.toSeq,
+            s"${ds.name} at ts ${e.ts}")
+      }
+    }
   }
 
   test("initial plan comes from the provided initial statistics") {

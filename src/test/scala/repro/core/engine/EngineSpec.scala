@@ -49,9 +49,13 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
-  test("an engine emits exactly the matches whose earliest ts lies in [from, until) (random SEQ/AND, n = 1-4, tied ts, both plan kinds)") {
-    val rnd = new scala.util.Random(71)
-    for (conj <- Seq(false, true); n <- 1 to 4; _ <- 1 to 4) {
+  /** Random SEQ and AND patterns over `ns`, four per kind and length, each
+    * run by every plan of both kinds with random `[from, until)` bounds on
+    * a stream of `count` events with tied ts.
+    */
+  private def checkOwnership(seed: Long, ns: Seq[Int], count: Int): Unit = {
+    val rnd = new scala.util.Random(seed)
+    for (conj <- Seq(false, true); n <- ns; _ <- 1 to 4) {
       val preds = if (n == 1) Vector.empty else Vector.fill(rnd.nextInt(n + 1)) {
         val i = rnd.nextInt(n)
         val j = (i + 1 + rnd.nextInt(n - 1)) % n
@@ -61,7 +65,7 @@ class EngineSpec extends AnyFunSuite {
       val p = if (conj) Pattern.conj(n, window, preds) else Pattern.seq(n, window, preds)
       // ts advances by 0 or 1 per event, so the bounds often tie an event's ts.
       var ts = 0L
-      val evs = Vector.tabulate(300) { i =>
+      val evs = Vector.tabulate(count) { i =>
         ts += rnd.nextInt(2)
         Event(i.toLong, ts, rnd.nextInt(n + 1), rnd.nextDouble() * 10, rnd.nextDouble() * 10)
       }
@@ -81,5 +85,13 @@ class EngineSpec extends AnyFunSuite {
         assert(got.size == want.size && got.toSet == want, s"$p [$from, $until)")
       }
     }
+  }
+
+  test("an engine emits exactly the matches whose earliest ts lies in [from, until) (random SEQ/AND, n = 1-4, tied ts, both plan kinds)") {
+    checkOwnership(71, 1 to 4, 300)
+  }
+
+  test("owned matches lie in [from, until) at n = 5 (random SEQ/AND, 600 events)") {
+    checkOwnership(73, Seq(5), 600)
   }
 }

@@ -12,6 +12,8 @@ import repro.data.TrafficGen
   */
 class AdaptiveCepStreamSpec extends SparkSpec {
 
+  private val ShufflePartitions = "spark.sql.shuffle.partitions"
+
   private def runStream(evs: Seq[Event], pattern: Pattern, cfg: CepConfig,
                         batches: Int, queryName: String): Set[Vector[Long]] = {
     val s = spark
@@ -19,20 +21,26 @@ class AdaptiveCepStreamSpec extends SparkSpec {
     implicit val sqlCtx = spark.sqlContext
     val input = MemoryStream[Event]
     val matches = AdaptiveCepStream.detect(input.toDS(), pattern, cfg)
-    val query = matches.writeStream
-      .format("memory")
-      .queryName(queryName)
-      .outputMode(OutputMode.Append())
-      .start()
+    // Every event here has one key, so all but one of the shared session's
+    // shuffle partitions (64 by default) would hold an empty state store.
+    val saved = spark.conf.get(ShufflePartitions)
+    spark.conf.set(ShufflePartitions, "1")
     try {
-      val chunkSize = math.max(1, evs.size / batches)
-      evs.grouped(chunkSize).foreach { chunk =>
-        input.addData(chunk)
-        query.processAllAvailable()
-      }
-      spark.sql(s"SELECT eventIds FROM $queryName").collect()
-        .map(_.getSeq[Long](0).toVector).toSet
-    } finally query.stop()
+      val query = matches.writeStream
+        .format("memory")
+        .queryName(queryName)
+        .outputMode(OutputMode.Append())
+        .start()
+      try {
+        val chunkSize = math.max(1, evs.size / batches)
+        evs.grouped(chunkSize).foreach { chunk =>
+          input.addData(chunk)
+          query.processAllAvailable()
+        }
+        spark.sql(s"SELECT eventIds FROM $queryName").collect()
+          .map(_.getSeq[Long](0).toVector).toSet
+      } finally query.stop()
+    } finally spark.conf.set(ShufflePartitions, saved)
   }
 
   test("streaming matches equal batch matches (static plan, one batch)") {
@@ -53,8 +61,8 @@ class AdaptiveCepStreamSpec extends SparkSpec {
     val p = Pattern.seq(3, 40)
     // Rate flip across the stream forces replans inside the operator state.
     val evs = (TrafficGen.events(3, 1500, epochs = 1, seed = 3) ++
-      TrafficGen.events(3, 1500, epochs = 1, seed = 4, firstId = 1500)
-        .map(e => e.copy(ts = e.ts + 1500, etype = 2 - e.etype))).toVector
+      TrafficGen.events(3, 1500, epochs = 1, seed = 4)
+        .map(e => e.copy(id = e.id + 1500, ts = e.ts + 1500, etype = 2 - e.etype))).toVector
     val got = runStream(evs, p,
       CepConfig(AlgoKind.Greedy, DecisionKind.Invariant(0.0, 1), statPeriod = 50), 6, "m3")
     assert(got == BruteForce.matches(p, evs))
