@@ -10,12 +10,14 @@ private[engine] final class PartialMatch(val events: Array[Event], val minTs: Lo
     extends Serializable
 
 /** Node of an engine's binary join tree. Its store holds the (partial)
-  * matches over its `positions` in creation order: a leaf's events, an inner
-  * node's `PartialMatch`es.
+  * matches over its `positions` in creation order, so in `maxTs` order: a
+  * leaf's events, an inner node's `PartialMatch`es. It stores them only if
+  * `kept`, which its parent sets iff its join reads them.
   */
 private[engine] sealed abstract class JoinNode extends Serializable {
   val positions: Array[Int]
   var parent: Inner = _
+  var kept = false
   val store = new mutable.ArrayBuffer[AnyRef]
 
   /** Drop stored items older than `horizon`: no future arrival joins them. */
@@ -33,21 +35,35 @@ private[engine] final class Leaf(val pos: Int, val counted: Boolean) extends Joi
 }
 
 /** Inner node: joins an item of one child with the stored items of the other
-  * and stores the partial matches (the root only until the engine emits them).
+  * and appends the partial matches to its store.
   */
 private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val right: JoinNode)
     extends JoinNode {
-  import Inner.{at, Holds, Ordered, pmOf}
+  import Inner.{at, firstMaxTsAtLeast, Holds, Ordered, pmOf}
   left.parent = this
   right.parent = this
-  val positions: Array[Int] = Array.concat(left.positions, right.positions)
+  // Copied by hand: `Array.concat`'s generic path cost about 15% of engine construction.
+  val positions: Array[Int] = {
+    val ps = java.util.Arrays.copyOf(left.positions, left.positions.length + right.positions.length)
+    System.arraycopy(right.positions, 0, ps, left.positions.length, right.positions.length)
+    ps
+  }
+  private val seq = pattern.kind == PatternKind.Sequence
+
+  // next(f): for an item arriving at the left (f = 0) or right (f = 1) child,
+  // -1 if it can never match, else (for SEQ) the arriving position just after
+  // the sibling's highest one. A SEQ match needs the child's highest position
+  // above the sibling's: an arriving item holds the event being processed at
+  // its highest position, and every stored ts is at most that event's.
+  private val next = new Array[Int](2)
 
   // checks(f): what an item arriving at the left (f = 0) or right (f = 1)
   // child must meet with a stored item of the other, as flat (kind, arriving
   // position, stored position) triples. For SEQ, the positions adjacent in the
   // union but on different sides must be `Ordered` (each side is ordered
   // already, so these order the union); then the predicates on pairs spanning
-  // the children must hold. Each spanning pair enters both, arriving position first.
+  // the children must hold. Each spanning pair enters both, arriving position
+  // first. The same pass over the positions fills `next`.
   private val checks: Array[Array[Int]] = {
     val side = new Array[Int](pattern.n) // 0 left, 1 right, -1 neither
     java.util.Arrays.fill(side, -1)
@@ -62,26 +78,43 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
     var prev = -1
     var p = 0
     while (p < pattern.n) {
-      if (side(p) >= 0) { if (prev >= 0 && pattern.kind == PatternKind.Sequence) spanning(Ordered, prev, p); prev = p }
+      if (side(p) >= 0) {
+        if (prev >= 0 && side(prev) != side(p)) next(side(p)) = p
+        if (prev >= 0 && seq) spanning(Ordered, prev, p)
+        prev = p
+      }
       p += 1
     }
+    if (seq) next(1 - side(prev)) = -1
     pattern.predicatePairs.foreach(ij => spanning(Holds, ij._1, ij._2))
     Array(flat(0).result(), flat(1).result())
   }
+  // A child's store is read only by the arrivals at its sibling.
+  left.kept = next(1) >= 0
+  right.kept = next(0) >= 0
 
-  /** Joins `item`, just stored at child `from`, with every stored item of the
-    * other child, and appends the partial matches to the store.
+  /** Joins `item`, just arrived at child `from`, with the stored items of the
+    * other child that can match it, and appends the partial matches to the store.
     */
   def join(from: JoinNode, item: AnyRef): Unit = {
-    val other = if (from eq left) right else left
-    val check = checks(if (from eq left) 0 else 1)
+    val f = if (from eq left) 0 else 1
+    if (next(f) < 0) return
+    val other = if (f == 0) right else left
+    val check = checks(f)
     // Each item is split once: a partial match, or else (null and) a leaf's event.
     val apm = pmOf(item)
     val ae = if (apm == null) item.asInstanceOf[Event] else null
     val aMin = if (apm != null) apm.minTs else ae.ts
     val aMax = if (apm != null) apm.maxTs else ae.ts
+    // A SEQ match needs the stored item's maxTs (its ts at the sibling's
+    // highest position) within the window of aMax and below the ts at next(f).
     var m = 0
-    while (m < other.store.length) {
+    var end = other.store.length
+    if (seq) {
+      m = firstMaxTsAtLeast(other.store, 0, aMax - pattern.window)
+      end = firstMaxTsAtLeast(other.store, m, at(apm, ae, next(f)).ts)
+    }
+    while (m < end) {
       val stored = other.store(m)
       val spm = pmOf(stored)
       val se = if (spm == null) stored.asInstanceOf[Event] else null
@@ -117,18 +150,47 @@ private[engine] object Inner {
     case _                => null
   }
   private def at(pm: PartialMatch, e: Event, p: Int): Event = if (pm != null) pm.events(p) else e
+
+  /** The first index from `lo` on of `store`, sorted by `maxTs`, whose item's maxTs is at least `ts`. */
+  private def firstMaxTsAtLeast(store: mutable.ArrayBuffer[AnyRef], lo: Int, ts: Long): Int = {
+    var l = lo
+    var h = store.length
+    while (l < h) {
+      val mid = (l + h) >>> 1
+      val pm = pmOf(store(mid))
+      if ((if (pm != null) pm.maxTs else store(mid).asInstanceOf[Event].ts) < ts) l = mid + 1 else h = mid
+    }
+    l
+  }
 }
 
 /** A pattern evaluation engine: a binary join tree over the pattern positions
   * (ZStream [38]; an order plan of the lazy NFA [33] is the left-deep tree
-  * over its processing order). Events must be fed in timestamp order; full
-  * matches (events by pattern position) are appended to `out`.
+  * over its processing order). Events must be fed in non-decreasing timestamp
+  * order, and an earlier one is rejected; full matches (events by pattern
+  * position) are appended to `out`.
   *
-  * An arriving event is stored at its leaf and joined with the stored items of
-  * its sibling; each result is stored at the parent and joined in turn with
-  * the parent's sibling, up to the root, which emits. The older side of every
-  * join is a stored one, so each combination is produced exactly once. Every
+  * An arriving event is joined at its leaf's parent with the stored items of
+  * the leaf's sibling; each result is joined in turn at the grandparent with
+  * the stored items of the parent's sibling, up to the root, which emits. A
+  * node stores its arrivals only if `kept`. The older side of every join is a
+  * stored one, so each combination is produced exactly once. Every
   * `PruneEvery` pattern events the stores are pruned at horizon `now − window`.
+  *
+  * SEQ joins scan only the stored items that the checks could accept. Every
+  * item joined while event `e` is processed holds `e` at its highest position,
+  * and every stored ts is at most `e.ts`. Hence:
+  *  - an arrival at a child whose highest position is below its sibling's
+  *    can never match, and its join returns at once (in a ZStream tree, every
+  *    arrival at a left child);
+  *  - a node whose store only such a dead join would read is not `kept` (the
+  *    root among them);
+  *  - a store, in creation order, is sorted by `maxTs`, and a live join reads
+  *    only the range with `maxTs` in `[now − window, ts)`, `ts` being the
+  *    arrival's at the position just after the stored item's highest one:
+  *    the window check and the `Ordered` check at that pair.
+  * Every item that a full scan would accept is still scanned, in store order,
+  * so the partial matches are created in the same order.
   *
   * The engine emits only the matches it owns, those whose earliest event ts
   * lies in `[from, until)`: by default every match. At plan switches (paper
@@ -143,6 +205,7 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
   private[core] var until = Long.MaxValue
   private var pmCount = 0L
   private var sincePrune = 0
+  private var lastTs = Long.MinValue
   private val nodes: List[JoinNode] = {
     def all(node: JoinNode): List[JoinNode] = node match {
       case in: Inner => in :: all(in.left) ::: all(in.right)
@@ -159,9 +222,16 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     leaves
   }
 
+  /** Process one event, appending the matches it completes to `out`. Throws
+    * `IllegalArgumentException` if `e` is of a pattern type and `e.ts` is
+    * below the last such event's.
+    */
   final def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
     val pos = pattern.typeToPos(e.etype)
     if (pos < 0) return
+    if (e.ts < lastTs)
+      throw new IllegalArgumentException(s"late event ${e.id}: ts ${e.ts} is below the last ts $lastTs")
+    lastTs = e.ts
     sincePrune += 1
     if (sincePrune >= Engine.PruneEvery) {
       nodes.foreach(_.prune(e.ts - pattern.window))
@@ -171,13 +241,14 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     if (leaf.counted) pmCount += 1
     if (leaf eq root) { if (owns(e.ts)) out += Array(e) }
     else {
-      leaf.store += e
+      if (leaf.kept) leaf.store += e
       propagate(leaf, e, out)
     }
   }
 
-  /** Join `item`, just stored at `node`, with its sibling's store; the results
-    * are stored at the parent and propagated, or emitted at the root.
+  /** Join `item`, just arrived at `node`, with its sibling's store; the
+    * results are propagated from the parent, or emitted at the root, and
+    * stay in the parent's store only if it is kept.
     */
   private def propagate(node: JoinNode, item: AnyRef, out: mutable.Buffer[Array[Event]]): Unit = {
     val parent = node.parent
@@ -191,7 +262,7 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
       else if (owns(pm.minTs)) out += pm.events
       k += 1
     }
-    if (parent eq root) parent.store.clear()
+    if (!parent.kept) parent.store.clear()
   }
 
   private def owns(minTs: Long): Boolean = minTs >= from && minTs < until

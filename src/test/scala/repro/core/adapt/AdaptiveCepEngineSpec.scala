@@ -1,5 +1,6 @@
 package repro.core.adapt
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.plan.OrderPlan
@@ -134,6 +135,39 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
 
   test("tied timestamps at n = 5: unique matches equal brute force") {
     checkTiedTimestamps(61, Seq(5), 600)
+  }
+
+  /** Java serialization round trip, as the streaming operator stores the engine per micro-batch. */
+  private def roundTrip(eng: AdaptiveCepEngine): AdaptiveCepEngine = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(eng)
+    out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[AdaptiveCepEngine]
+  }
+
+  test("an engine replaced by its serialized copy every 300 events emits and counts as an uninterrupted run") {
+    val ds = BenchHarness.traffic
+    for (n <- Seq(4, 5); algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream)) {
+      val p = ds.pattern(n)
+      val evs = ds.gen(n, 6000, 90017L)
+      def make() = Cep.makeEngine(p, CepConfig(algo, DecisionKind.Unconditional, statPeriod = 64))
+      val whole = make()
+      val want = evs.map(e => whole.onEvent(e).map(_.map(_.id).toVector))
+      var eng = make()
+      val got = evs.zipWithIndex.map { case (e, i) =>
+        if (i % 300 == 299) eng = roundTrip(eng)
+        eng.onEvent(e).map(_.map(_.id).toVector)
+      }
+      def counters(a: AdaptiveCepEngine) = {
+        val c = a.counters
+        (c.events, c.matches, c.decisionEvals, c.plannerRuns, c.replacements, c.pmRetired,
+          a.partialMatchesCreated, a.liveEngines, a.currentPlan)
+      }
+      assert(got == want, s"$algo n = $n")
+      assert(counters(eng) == counters(whole), s"$algo n = $n")
+      assert(whole.counters.replacements > 0 && whole.counters.matches > 0, s"$algo n = $n")
+    }
   }
 
   test("overlap window keeps two engines alive, then retires the old one") {
