@@ -1,8 +1,5 @@
 package repro.bench
 
-import repro.harness.BenchHarness
-import repro.harness.BenchHarness.Row
-
 /** Shared scale parameters for the figure benches. The paper runs pattern
   * lengths 3–8 over 13.6M/80.5M real events; we run 3–6 over 60k synthetic
   * events per cell to fit the wall-clock budget — the scaling *trend* across
@@ -12,9 +9,4 @@ import repro.harness.BenchHarness.Row
 object BenchDefaults {
   val lengths: Seq[Int] = Seq(3, 4, 5, 6)
   val nEvents: Int = 60000
-
-  def emit(title: String, rows: Seq[Row]): Unit = {
-    BenchHarness.printTable(title, rows)
-    Console.out.flush()
-  }
 }

@@ -22,7 +22,7 @@ class Fig5DSweepBench extends AnyFunSuite {
 
   private def sweep(ds: BenchHarness.DatasetSpec, algo: AlgoKind, label: String): Unit = {
     val rows = BenchHarness.table(ds, algo, lengths, invariants(algo, dValues), n)
-    BenchDefaults.emit(s"Fig5 $label: throughput vs d", rows)
+    BenchHarness.printTable(s"Fig5 $label: throughput vs d", rows)
     // Structural check, not a timing assertion: every cell ran the full
     // stream and the match sets agree across d (paired streams).
     assert(rows.forall(_.events == n))

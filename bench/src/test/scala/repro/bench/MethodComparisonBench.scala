@@ -38,7 +38,7 @@ abstract class MethodComparisonBench(
   private def meanThr(method: DecisionKind): Double = mean(method)(_.throughputEvS)
 
   test(s"$figure: run and print the method-comparison table") {
-    BenchDefaults.emit(s"$figure ${ds.name} x ${rows.head.algo}", rows)
+    BenchHarness.printTable(s"$figure ${ds.name} x ${rows.head.algo}", rows)
     assert(rows.size == BenchDefaults.lengths.size * 4)
     assert(rows.forall(_.events == BenchDefaults.nEvents))
   }

@@ -27,6 +27,7 @@ object PredOp {
   */
 final case class Predicate(i: Int, j: Int, attr: Int, op: PredOp) extends Serializable {
   require(i != j, s"predicate must relate two distinct positions, got ($i,$j)")
+  require(attr == 0 || attr == 1, s"predicate attribute must be 0 (a0) or 1 (a1), got $attr")
 
   /** Evaluate with `ei` the event at position `i` and `ej` at position `j`. */
   def eval(ei: Event, ej: Event): Boolean = op match {
@@ -48,6 +49,7 @@ final case class Pattern(
     predicates: Vector[Predicate],
     window: Long,
 ) extends Serializable {
+  require(types.nonEmpty, "a pattern needs at least one position")
   require(types.distinct.size == types.size, "pattern positions must use distinct event types")
   require(window > 0, "window must be positive")
   predicates.foreach { p =>
@@ -101,25 +103,19 @@ final case class Pattern(
   }
 }
 
-/** Event type → position of `types`, or -1 for any other type: open
-  * addressing over (type, position + 1) int pairs, so routing an event
-  * neither boxes nor allocates. Any `Int` is a valid type.
+/** Event type → position of `types`, or -1 for any other type: a scan of
+  * the types, at most n compares for a pattern of n positions, that neither
+  * boxes nor allocates. Any `Int` is a valid type.
   */
 final class TypeTable(types: Vector[Int]) extends Serializable {
-  // 2^bits ≥ 2·types pairs, so every probe reaches a free pair (position + 1 = 0).
-  private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 2 * types.size - 1))
-  private val slots = new Array[Int](2 << bits)
-  for (p <- types.indices) { val s = probe(types(p)); slots(s) = types(p); slots(s + 1) = p + 1 }
-
-  /** Index of the pair holding `etype`, or of the free pair where it would go. */
-  private def probe(etype: Int): Int = {
-    var h = (etype * 0x9E3779B9) >>> (32 - bits) // Fibonacci hashing
-    while (slots(2 * h + 1) != 0 && slots(2 * h) != etype) h = (h + 1) & ((1 << bits) - 1)
-    2 * h
-  }
+  private val byPos = types.toArray
 
   /** Position of `etype`, or -1 when the pattern does not use it. */
-  def apply(etype: Int): Int = slots(probe(etype) + 1) - 1
+  def apply(etype: Int): Int = {
+    var p = byPos.length - 1
+    while (p >= 0 && byPos(p) != etype) p -= 1
+    p
+  }
   def contains(etype: Int): Boolean = apply(etype) >= 0
 }
 

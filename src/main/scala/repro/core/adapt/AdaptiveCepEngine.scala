@@ -51,7 +51,7 @@ final class AdaptiveCepEngine(
     initialStats: Option[repro.core.stats.Stats],
 ) extends Serializable {
 
-  val monitor = new StatisticsMonitor(pattern, pattern.window * StatisticsMonitor.StatWindowFactor)
+  val monitor = new StatisticsMonitor(pattern)
   val counters = new AdaptiveCounters
 
   /** Active engines, oldest first; each owns the matches from its start up to the next one's. */

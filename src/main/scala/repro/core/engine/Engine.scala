@@ -1,13 +1,13 @@
 package repro.core.engine
 
-import repro.core.{Event, Pattern, PatternKind}
+import repro.core.{Event, Item, Pattern, PatternKind}
 import scala.collection.mutable
 
 /** A partial match: events indexed by pattern position (`null` at positions
   * it does not cover), plus cached min/max timestamps for O(1) window checks.
   */
 private[engine] final class PartialMatch(val events: Array[Event], val minTs: Long, val maxTs: Long)
-    extends Serializable
+    extends Item { def at(p: Int): Event = events(p) }
 
 /** Node of an engine's binary join tree. Its store holds the (partial)
   * matches over its `positions` in creation order, so in `maxTs` order: a
@@ -18,13 +18,10 @@ private[engine] sealed abstract class JoinNode extends Serializable {
   val positions: Array[Int]
   var parent: Inner = _
   var kept = false
-  val store = new mutable.ArrayBuffer[AnyRef]
+  val store = new mutable.ArrayBuffer[Item]
 
   /** Drop stored items older than `horizon`: no future arrival joins them. */
-  def prune(horizon: Long): Unit = store.filterInPlace { x =>
-    val pm = Inner.pmOf(x)
-    (if (pm != null) pm.minTs else x.asInstanceOf[Event].ts) >= horizon
-  }
+  def prune(horizon: Long): Unit = store.filterInPlace(_.minTs >= horizon)
 }
 
 /** Leaf: the raw events of one position; its arrivals count as partial
@@ -39,7 +36,7 @@ private[engine] final class Leaf(val pos: Int, val counted: Boolean) extends Joi
   */
 private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val right: JoinNode)
     extends JoinNode {
-  import Inner.{at, firstMaxTsAtLeast, Holds, Ordered, pmOf}
+  import Inner.{firstMaxTsAtLeast, Holds, Ordered}
   left.parent = this
   right.parent = this
   // Copied by hand: `Array.concat`'s generic path cost about 15% of engine construction.
@@ -96,45 +93,38 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
   /** Joins `item`, just arrived at child `from`, with the stored items of the
     * other child that can match it, and appends the partial matches to the store.
     */
-  def join(from: JoinNode, item: AnyRef): Unit = {
+  def join(from: JoinNode, item: Item): Unit = {
     val f = if (from eq left) 0 else 1
     if (next(f) < 0) return
     val other = if (f == 0) right else left
     val check = checks(f)
-    // Each item is split once: a partial match, or else (null and) a leaf's event.
-    val apm = pmOf(item)
-    val ae = if (apm == null) item.asInstanceOf[Event] else null
-    val aMin = if (apm != null) apm.minTs else ae.ts
-    val aMax = if (apm != null) apm.maxTs else ae.ts
     // A SEQ match needs the stored item's maxTs (its ts at the sibling's
-    // highest position) within the window of aMax and below the ts at next(f).
+    // highest position) within the window of item.maxTs and below the ts at next(f).
     var m = 0
     var end = other.store.length
     if (seq) {
-      m = firstMaxTsAtLeast(other.store, 0, aMax - pattern.window)
-      end = firstMaxTsAtLeast(other.store, m, at(apm, ae, next(f)).ts)
+      m = firstMaxTsAtLeast(other.store, 0, item.maxTs - pattern.window)
+      end = firstMaxTsAtLeast(other.store, m, item.at(next(f)).ts)
     }
     while (m < end) {
       val stored = other.store(m)
-      val spm = pmOf(stored)
-      val se = if (spm == null) stored.asInstanceOf[Event] else null
-      val lo = math.min(aMin, if (spm != null) spm.minTs else se.ts)
-      val hi = math.max(aMax, if (spm != null) spm.maxTs else se.ts)
+      val lo = math.min(item.minTs, stored.minTs)
+      val hi = math.max(item.maxTs, stored.maxTs)
       var ok = hi - lo <= pattern.window
       var t = 0
       while (ok && t < check.length) {
         val a = check(t + 1)
         val s = check(t + 2)
-        val ea = at(apm, ae, a)
-        val es = at(spm, se, s)
+        val ea = item.at(a)
+        val es = stored.at(s)
         ok = if (check(t) == Ordered) (if (a < s) ea.ts < es.ts else es.ts < ea.ts)
           else pattern.pairHolds(a, s, ea, es)
         t += 3
       }
       if (ok) {
         val evs = new Array[Event](pattern.n)
-        from.positions.foreach(p => evs(p) = at(apm, ae, p))
-        other.positions.foreach(p => evs(p) = at(spm, se, p))
+        from.positions.foreach(p => evs(p) = item.at(p))
+        other.positions.foreach(p => evs(p) = stored.at(p))
         store += new PartialMatch(evs, lo, hi)
       }
       m += 1
@@ -145,20 +135,13 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
 private[engine] object Inner {
   private final val Ordered = 0 // the two positions' ts are in position order
   private final val Holds = 1   // every predicate on the two positions holds
-  def pmOf(x: AnyRef): PartialMatch = x match {
-    case pm: PartialMatch => pm
-    case _                => null
-  }
-  private def at(pm: PartialMatch, e: Event, p: Int): Event = if (pm != null) pm.events(p) else e
-
   /** The first index from `lo` on of `store`, sorted by `maxTs`, whose item's maxTs is at least `ts`. */
-  private def firstMaxTsAtLeast(store: mutable.ArrayBuffer[AnyRef], lo: Int, ts: Long): Int = {
+  private def firstMaxTsAtLeast(store: mutable.ArrayBuffer[Item], lo: Int, ts: Long): Int = {
     var l = lo
     var h = store.length
     while (l < h) {
       val mid = (l + h) >>> 1
-      val pm = pmOf(store(mid))
-      if ((if (pm != null) pm.maxTs else store(mid).asInstanceOf[Event].ts) < ts) l = mid + 1 else h = mid
+      if (store(mid).maxTs < ts) l = mid + 1 else h = mid
     }
     l
   }
@@ -250,7 +233,7 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     * results are propagated from the parent, or emitted at the root, and
     * stay in the parent's store only if it is kept.
     */
-  private def propagate(node: JoinNode, item: AnyRef, out: mutable.Buffer[Array[Event]]): Unit = {
+  private def propagate(node: JoinNode, item: Item, out: mutable.Buffer[Array[Event]]): Unit = {
     val parent = node.parent
     val first = parent.store.length
     parent.join(node, item)

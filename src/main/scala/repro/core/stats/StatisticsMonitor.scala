@@ -67,6 +67,10 @@ final class StatisticsMonitor(
     val ewmaAlpha: Double = 0.02,
     seed: Long = StatisticsMonitor.Seed,
 ) extends Serializable {
+
+  /** The adaptive loop's monitor: a rate window of `StatWindowFactor` pattern windows. */
+  def this(pattern: Pattern) = this(pattern, pattern.window * StatisticsMonitor.StatWindowFactor)
+
   private val n = pattern.n
   private val rnd = new scala.util.Random(seed)
 

@@ -1,7 +1,7 @@
 package repro.harness
 
 import repro.core.{Event, Pattern, PredOp, Predicate}
-import repro.core.stats.Stats
+import repro.core.stats.{StatisticsMonitor, Stats}
 import repro.data.{StockGen, TrafficGen}
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
 
@@ -116,7 +116,7 @@ object BenchHarness {
     val pattern: Pattern = ds.pattern(len)
     val events: IndexedSeq[Event] = ds.gen(len, Warmup + nEvents, Seed)
     val warmStats: Stats = {
-      val monitor = Cep.makeEngine(pattern, CepConfig()).monitor
+      val monitor = new StatisticsMonitor(pattern)
       events.take(Warmup).foreach(monitor.observe)
       monitor.snapshot(events(Warmup - 1).ts)
     }
@@ -175,5 +175,6 @@ object BenchHarness {
         f"${r.events}%8d ${r.matches}%9d ${r.throughputEvS}%11.0f $gain%6s ${r.reoptimizations}%6d " +
         f"${r.plannerRuns}%6d ${r.overheadPct}%6.2f")
     }
+    Console.out.flush()
   }
 }

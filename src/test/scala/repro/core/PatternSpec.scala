@@ -37,6 +37,14 @@ class PatternSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { Predicate(1, 1, 0, PredOp.Lt) }
   }
 
+  test("pattern without positions rejected") {
+    intercept[IllegalArgumentException] { Pattern(PatternKind.Sequence, Vector.empty, Vector.empty, 10) }
+  }
+
+  test("predicate on an attribute other than a0 or a1 rejected") {
+    intercept[IllegalArgumentException] { Predicate(0, 1, attr = 7, PredOp.Lt) }
+  }
+
   test("typeToPos maps types to positions") {
     val p = Pattern(PatternKind.Sequence, Vector(7, 3, 9), Vector.empty, 10)
     assert(Vector(7, 3, 9, 0, 8).map(p.typeToPos(_)) == Vector(0, 1, 2, -1, -1))
