@@ -113,4 +113,105 @@ class GreedyPlannerSpec extends AnyFunSuite {
     assert(planner.cost(r.plan, stats) ==
       CostModel.orderCost(r.plan.asInstanceOf[OrderPlan].order, stats))
   }
+
+  // Recorded from the eager planner: the plan and every DCS, each condition
+  // with its creation slack's bits (see `DcsText`).
+  private val golden: Map[String, Vector[String]] = Map(
+    "pairwise(3) seed 21" -> Vector(
+      "Order(2→1→0)",
+      "[cost(2|) < cost(1|) @3f850444458f3ec0; cost(2|) < cost(0|) @3fd52f8a6e7e6940]",
+      "[cost(1|2) < cost(0|2) @3fa2da41def4b6a8]",
+      "[]",
+    ),
+    "pairwise(3) default" -> Vector(
+      "Order(0→1→2)",
+      "[cost(0|) < cost(1|) @0; cost(0|) < cost(2|) @0]",
+      "[cost(1|0) < cost(2|0) @0]",
+      "[]",
+    ),
+    "traffic(3) seed 33" -> Vector(
+      "Order(2→1→0)",
+      "[cost(2|) < cost(0|) @3fcf319af20440f0; cost(2|) < cost(1|) @3fd5c9ce376728a6]",
+      "[cost(1|2) < cost(0|2) @3fb21bcefdc181d8]",
+      "[]",
+    ),
+    "pairwise(4) seed 28" -> Vector(
+      "Order(2→1→0→3)",
+      "[cost(2|) < cost(3|) @3fadfe39e5ac85d8; cost(2|) < cost(1|) @3fc7bf0d96729b32; cost(2|) < cost(0|) @3fd59b0ced1caccb]",
+      "[cost(1|2) < cost(3|2) @3fd0a06dfa56db28; cost(1|2) < cost(0|2) @3fd48ef23be26e6c]",
+      "[cost(0|2,1) < cost(3|2,1) @3fc35a216a3fed46]",
+      "[]",
+    ),
+    "pairwise(4) default" -> Vector(
+      "Order(0→1→2→3)",
+      "[cost(0|) < cost(1|) @0; cost(0|) < cost(2|) @0; cost(0|) < cost(3|) @0]",
+      "[cost(1|0) < cost(2|0) @0; cost(1|0) < cost(3|0) @0]",
+      "[cost(2|0,1) < cost(3|0,1) @0]",
+      "[]",
+    ),
+    "traffic(4) seed 44" -> Vector(
+      "Order(1→0→2→3)",
+      "[cost(1|) < cost(0|) @3f9874b56ed39f40; cost(1|) < cost(2|) @3f9ba9381b092160; cost(1|) < cost(3|) @3fcf228d8fce4804]",
+      "[cost(0|1) < cost(2|1) @3fa2339550560be0; cost(0|1) < cost(3|1) @3fd497d8099b3518]",
+      "[cost(2|1,0) < cost(3|1,0) @3fd251655f90739c]",
+      "[]",
+    ),
+    "pairwise(5) seed 35" -> Vector(
+      "Order(4→2→3→1→0)",
+      "[cost(4|) < cost(2|) @3fcbf17887a0fb8f; cost(4|) < cost(1|) @3fd853a0ede38734; cost(4|) < cost(0|) @3fe2d6aae368a48f; cost(4|) < cost(3|) @3fe4f058e18f6506]",
+      "[cost(2|4) < cost(3|4) @3fc31ccaecf1f79a; cost(2|4) < cost(1|4) @3fd8d012e708486b; cost(2|4) < cost(0|4) @3fe3c4884cc7b75c]",
+      "[cost(3|4,2) < cost(0|4,2) @3fb93c09b4443202; cost(3|4,2) < cost(1|4,2) @3fc9a0753306ce22]",
+      "[cost(1|4,2,3) < cost(0|4,2,3) @3fb728d10fec9048]",
+      "[]",
+    ),
+    "pairwise(5) default" -> Vector(
+      "Order(0→1→2→3→4)",
+      "[cost(0|) < cost(1|) @0; cost(0|) < cost(2|) @0; cost(0|) < cost(3|) @0; cost(0|) < cost(4|) @0]",
+      "[cost(1|0) < cost(2|0) @0; cost(1|0) < cost(3|0) @0; cost(1|0) < cost(4|0) @0]",
+      "[cost(2|0,1) < cost(3|0,1) @0; cost(2|0,1) < cost(4|0,1) @0]",
+      "[cost(3|0,1,2) < cost(4|0,1,2) @0]",
+      "[]",
+    ),
+    "traffic(5) seed 55" -> Vector(
+      "Order(3→2→4→1→0)",
+      "[cost(3|) < cost(1|) @3fa62cb9e2fbab10; cost(3|) < cost(2|) @3fab5492b88fa048; cost(3|) < cost(4|) @3fc916deaa4b1228; cost(3|) < cost(0|) @3fd22c5ad2d78d66]",
+      "[cost(2|3) < cost(4|3) @3fa75d5b6afb27d0; cost(2|3) < cost(1|3) @3fd71cc7476e7d19; cost(2|3) < cost(0|3) @3fe341c56ef34a8f]",
+      "[cost(4|3,2) < cost(1|3,2) @3fa94ce625e1459e; cost(4|3,2) < cost(0|3,2) @3fe1cbefb8439812]",
+      "[cost(1|3,2,4) < cost(0|3,2,4) @3fe0372155e583b8]",
+      "[]",
+    ),
+    "pairwise(6) seed 42" -> Vector(
+      "Order(3→4→2→0→1→5)",
+      "[cost(3|) < cost(2|) @3f9d290a4f98e3c0; cost(3|) < cost(4|) @3fd6603ae3ec8e01; cost(3|) < cost(1|) @3fd764d9f8196b4f; cost(3|) < cost(0|) @3fd9f2aca6989d1d; cost(3|) < cost(5|) @3fe20989eaf41aec]",
+      "[cost(4|3) < cost(2|3) @3fa83adbdf58689c; cost(4|3) < cost(0|3) @3fc81ebd73b00ec1; cost(4|3) < cost(1|3) @3fd555be197bc3de; cost(4|3) < cost(5|3) @3fd6bb28544f46c8]",
+      "[cost(2|3,4) < cost(1|3,4) @3fc21de2635c4053; cost(2|3,4) < cost(0|3,4) @3fc92201509416ed; cost(2|3,4) < cost(5|3,4) @3fd3bdaa79c7dffd]",
+      "[cost(0|3,4,2) < cost(1|3,4,2) @3f84c9c655af1ab0; cost(0|3,4,2) < cost(5|3,4,2) @3fca7770f3e02f8c]",
+      "[cost(1|3,4,2,0) < cost(5|3,4,2,0) @3fcb39af48c61661]",
+      "[]",
+    ),
+    "pairwise(6) default" -> Vector(
+      "Order(0→1→2→3→4→5)",
+      "[cost(0|) < cost(1|) @0; cost(0|) < cost(2|) @0; cost(0|) < cost(3|) @0; cost(0|) < cost(4|) @0; cost(0|) < cost(5|) @0]",
+      "[cost(1|0) < cost(2|0) @0; cost(1|0) < cost(3|0) @0; cost(1|0) < cost(4|0) @0; cost(1|0) < cost(5|0) @0]",
+      "[cost(2|0,1) < cost(3|0,1) @0; cost(2|0,1) < cost(4|0,1) @0; cost(2|0,1) < cost(5|0,1) @0]",
+      "[cost(3|0,1,2) < cost(4|0,1,2) @0; cost(3|0,1,2) < cost(5|0,1,2) @0]",
+      "[cost(4|0,1,2,3) < cost(5|0,1,2,3) @0]",
+      "[]",
+    ),
+    "traffic(6) seed 66" -> Vector(
+      "Order(3→5→2→1→0→4)",
+      "[cost(3|) < cost(5|) @3f50dd6010f3fc40; cost(3|) < cost(4|) @3fdcbb2bf4fd815f; cost(3|) < cost(0|) @3fe3666c7c27403a; cost(3|) < cost(1|) @3fe42c91ccd863d6; cost(3|) < cost(2|) @3feb305a15b6206c]",
+      "[cost(5|3) < cost(2|3) @3fad5527ba27a412; cost(5|3) < cost(4|3) @3fd1995361d9b188; cost(5|3) < cost(0|3) @3fe35dfdcc1ec63b; cost(5|3) < cost(1|3) @3fe424231ccfe9d7]",
+      "[cost(2|3,5) < cost(4|3,5) @3fc3dabd175fe453; cost(2|3,5) < cost(0|3,5) @3fe188ab507c4bfa; cost(2|3,5) < cost(1|3,5) @3fe24ed0a12d6f96]",
+      "[cost(1|3,5,2) < cost(4|3,5,2) @3fbf3dc7ea226730; cost(1|3,5,2) < cost(0|3,5,2) @3fe079b507e89fcc]",
+      "[cost(0|3,5,2,1) < cost(4|3,5,2,1) @3fb7d561f5d0bfbc]",
+      "[]",
+    ),
+  )
+
+  for ((name, stats) <- DcsText.cases) {
+    test(s"golden plan and DCSs ($name)") {
+      assert(DcsText.of(new GreedyOrderPlanner(stats.pattern).generate(stats)) == golden(name))
+    }
+  }
 }

@@ -96,4 +96,93 @@ class ZStreamPlannerSpec extends AnyFunSuite {
     assert(planner.cost(r.plan, stats) ==
       CostModel.treeCost(r.plan.asInstanceOf[TreePlan].root, stats))
   }
+
+  // Recorded from the eager planner: the plan and every DCS, each condition
+  // with its creation slack's bits (see `DcsText`).
+  private val golden: Map[String, Vector[String]] = Map(
+    "pairwise(3) seed 21" -> Vector(
+      "Tree(0,(1,2))",
+      "[]",
+      "[cost(0,(1,2)) < cost((0,1),2) @3fbbbb1478591840]",
+    ),
+    "pairwise(3) default" -> Vector(
+      "Tree(0,(1,2))",
+      "[]",
+      "[cost(0,(1,2)) < cost((0,1),2) @0]",
+    ),
+    "traffic(3) seed 33" -> Vector(
+      "Tree((0,1),2)",
+      "[]",
+      "[cost((0,1),2) < cost(0,(1,2)) @3fb02ffd84b17c20]",
+    ),
+    "pairwise(4) seed 28" -> Vector(
+      "Tree((0,(1,2)),3)",
+      "[]",
+      "[cost(0,(1,2)) < cost((0,1),2) @3f944323ac85df00]",
+      "[cost((0,(1,2)),3) < cost(0,((1,2),3)) @3f7600b0fc5a9d00; cost((0,(1,2)),3) < cost((0,1),(2,3)) @3fc21b5c94551468]",
+    ),
+    "pairwise(4) default" -> Vector(
+      "Tree(0,(1,(2,3)))",
+      "[]",
+      "[cost(1,(2,3)) < cost((1,2),3) @0]",
+      "[cost(0,(1,(2,3))) < cost((0,(1,2)),3) @0; cost(0,(1,(2,3))) < cost((0,1),(2,3)) @3f9e000000000000]",
+    ),
+    "traffic(4) seed 44" -> Vector(
+      "Tree(((0,1),2),3)",
+      "[]",
+      "[cost((0,1),2) < cost(0,(1,2)) @3f97ad911b7d8c80]",
+      "[cost(((0,1),2),3) < cost(0,((1,2),3)) @3fb4eb680a9c12c0; cost(((0,1),2),3) < cost((0,1),(2,3)) @3fd0c383a4a80780]",
+    ),
+    "pairwise(5) seed 35" -> Vector(
+      "Tree(0,(1,(2,(3,4))))",
+      "[]",
+      "[cost(2,(3,4)) < cost((2,3),4) @3fc24b3f037c5f78]",
+      "[cost(1,(2,(3,4))) < cost(((1,2),3),4) @3fba510222b911f0; cost(1,(2,(3,4))) < cost((1,2),(3,4)) @3fbc6a32f93d3560]",
+      "[cost(0,(1,(2,(3,4)))) < cost((((0,1),2),3),4) @3fafad47f53074c0; cost(0,(1,(2,(3,4)))) < cost((0,1),(2,(3,4))) @3fb20ebf4d8ec220; cost(0,(1,(2,(3,4)))) < cost(((0,1),2),(3,4)) @3fb37760f3cfb1a0]",
+    ),
+    "pairwise(5) default" -> Vector(
+      "Tree(0,(1,(2,(3,4))))",
+      "[]",
+      "[cost(2,(3,4)) < cost((2,3),4) @0]",
+      "[cost(1,(2,(3,4))) < cost((1,(2,3)),4) @0; cost(1,(2,(3,4))) < cost((1,2),(3,4)) @3f9374bc6a7ef9c0]",
+      "[cost(0,(1,(2,(3,4)))) < cost((0,(1,(2,3))),4) @0; cost(0,(1,(2,(3,4)))) < cost((0,1),(2,(3,4))) @3f9474538ef34d40; cost(0,(1,(2,(3,4)))) < cost((0,(1,2)),(3,4)) @3f9474538ef34d40]",
+    ),
+    "traffic(5) seed 55" -> Vector(
+      "Tree(0,(1,((2,3),4)))",
+      "[]",
+      "[cost((2,3),4) < cost(2,(3,4)) @3f9255f411f7eb80]",
+      "[cost(1,((2,3),4)) < cost((1,(2,3)),4) @3f57afa88e240800; cost(1,((2,3),4)) < cost((1,2),(3,4)) @3fb709e87fd1c410]",
+      "[cost(0,(1,((2,3),4))) < cost((0,(1,(2,3))),4) @3f568491323d9000; cost(0,(1,((2,3),4))) < cost((0,1),((2,3),4)) @3fa74d1dae9fc580; cost(0,(1,((2,3),4))) < cost(((0,1),2),(3,4)) @3fb161effe920280]",
+    ),
+    "pairwise(6) seed 42" -> Vector(
+      "Tree((0,(1,(2,(3,4)))),5)",
+      "[]",
+      "[cost(2,(3,4)) < cost((2,3),4) @3f8a1b78e7e28f00]",
+      "[cost(1,(2,(3,4))) < cost((1,(2,3)),4) @3f95645a21fd75c0; cost(1,(2,(3,4))) < cost((1,2),(3,4)) @3fb512feacc2fc00]",
+      "[cost(0,(1,(2,(3,4)))) < cost((0,(1,(2,3))),4) @3f95a027b710ed80; cost(0,(1,(2,(3,4)))) < cost((0,(1,2)),(3,4)) @3fb6b12a29af4120; cost(0,(1,(2,(3,4)))) < cost((0,1),(2,(3,4))) @3fc4edc68f28d650]",
+      "[cost((0,(1,(2,(3,4)))),5) < cost(0,((1,(2,(3,4))),5)) @3ece1c3dd4200000; cost((0,(1,(2,(3,4)))),5) < cost((0,(1,2)),((3,4),5)) @3fb9c11a6125e140; cost((0,(1,(2,(3,4)))),5) < cost((0,1),((2,(3,4)),5)) @3fc4fa9d11764bf0; cost((0,(1,(2,(3,4)))),5) < cost((0,(1,(2,3))),(4,5)) @3fd950b77406aa90]",
+    ),
+    "pairwise(6) default" -> Vector(
+      "Tree(0,(1,(2,(3,(4,5)))))",
+      "[]",
+      "[cost(3,(4,5)) < cost((3,4),5) @0]",
+      "[cost(2,(3,(4,5))) < cost((2,(3,4)),5) @0; cost(2,(3,(4,5))) < cost((2,3),(4,5)) @3f8b425ed097b440]",
+      "[cost(1,(2,(3,(4,5)))) < cost((1,(2,(3,4))),5) @0; cost(1,(2,(3,(4,5)))) < cost((1,2),(3,(4,5))) @3f8c6b74f0329180; cost(1,(2,(3,(4,5)))) < cost((1,(2,3)),(4,5)) @3f8c6b74f0329180]",
+      "[cost(0,(1,(2,(3,(4,5))))) < cost((0,(1,(2,(3,4)))),5) @0; cost(0,(1,(2,(3,(4,5))))) < cost((0,1),(2,(3,(4,5)))) @3f8c71b641511f00; cost(0,(1,(2,(3,(4,5))))) < cost((0,(1,(2,3))),(4,5)) @3f8c71b641511f00; cost(0,(1,(2,(3,(4,5))))) < cost((0,(1,2)),(3,(4,5))) @3f8d9acc60ebfc00]",
+    ),
+    "traffic(6) seed 66" -> Vector(
+      "Tree(((0,(1,(2,3))),4),5)",
+      "[]",
+      "[cost(1,(2,3)) < cost((1,2),3) @3fc177949c9832e8]",
+      "[cost(0,(1,(2,3))) < cost((0,1),(2,3)) @3fc08321210f6520; cost(0,(1,(2,3))) < cost(((0,1),2),3) @3fc2e959c08ef4d0]",
+      "[cost((0,(1,(2,3))),4) < cost(0,((1,(2,3)),4)) @3f2ad66484814000; cost((0,(1,(2,3))),4) < cost((0,1),((2,3),4)) @3fc0d8859c0c37f0; cost((0,(1,(2,3))),4) < cost(((0,1),2),(3,4)) @3fc5cd4138892460]",
+      "[cost(((0,(1,(2,3))),4),5) < cost(0,(((1,(2,3)),4),5)) @3f230f96a8240000; cost(((0,(1,(2,3))),4),5) < cost((0,(1,(2,3))),(4,5)) @3f9d1a970df8d600; cost(((0,(1,(2,3))),4),5) < cost((0,1),(((2,3),4),5)) @3fc0daedabb17140; cost(((0,(1,(2,3))),4),5) < cost(((0,1),2),((3,4),5)) @3fc5f3d9ea21e730]",
+    ),
+  )
+
+  for ((name, stats) <- DcsText.cases) {
+    test(s"golden plan and DCSs ($name)") {
+      assert(DcsText.of(new ZStreamPlanner(stats.pattern).generate(stats)) == golden(name))
+    }
+  }
 }
