@@ -29,10 +29,42 @@ final case class Predicate(i: Int, j: Int, attr: Int, op: PredOp) extends Serial
   require(i != j, s"predicate must relate two distinct positions, got ($i,$j)")
   require(attr == 0 || attr == 1, s"predicate attribute must be 0 (a0) or 1 (a1), got $attr")
 
-  /** Evaluate with `ei` the event at position `i` and `ej` at position `j`. */
+  /** Evaluate with `ei` the event at position `i` and `ej` at position `j`:
+    * the reference semantics of the predicate's flat code (`Predicate.holds`).
+    */
   def eval(ei: Event, ej: Event): Boolean = op match {
     case PredOp.Lt => ei.attr(attr) < ej.attr(attr)
     case PredOp.Gt => ei.attr(attr) > ej.attr(attr)
+  }
+
+  /** This predicate as a flat code, oriented "event at `i` op event at `j`". */
+  private[core] def code: Int = 2 * attr + (if (op == PredOp.Lt) 0 else 1)
+}
+
+/** Flat codes of the comparisons that the joins and the monitor check: a
+  * code `2·f + o` compares field `f` (0 `a0`, 1 `a1`, 2 `ts`) of two events
+  * with `<` (`o = 0`) or `>` (`o = 1`), so `code ^ 1` is the same comparison
+  * with its sides swapped.
+  */
+object Predicate {
+  /** `x.ts < y.ts`, the code of two positions' SEQ order. */
+  private[core] final val TsLt = 4
+
+  /** `x <code> y`. */
+  private[core] def holds(code: Int, x: Event, y: Event): Boolean = (code: @scala.annotation.switch) match {
+    case 0 => x.a0 < y.a0
+    case 1 => x.a0 > y.a0
+    case 2 => x.a1 < y.a1
+    case 3 => x.a1 > y.a1
+    case 4 => x.ts < y.ts
+    case _ => x.ts > y.ts
+  }
+
+  /** Whether `x <c ^ flip> y` holds for every code `c` of `codes`. */
+  private[core] def allHold(codes: Array[Int], flip: Int, x: Event, y: Event): Boolean = {
+    var t = 0
+    while (t < codes.length && holds(codes(t) ^ flip, x, y)) t += 1
+    t == codes.length
   }
 }
 
@@ -70,14 +102,22 @@ final case class Pattern(
     predicates.map(p => if (p.i < p.j) (p.i, p.j) else (p.j, p.i)).distinct.sorted
 
   // pairSlot(i * n + j) = pairSlot(j * n + i) = index of the pair {i, j} in
-  // `predicatePairs` and `pairPreds` (its predicates), or -1 when none.
+  // `predicatePairs`, or -1 when none.
   private val pairSlot: Array[Int] = Array.fill(n * n)(-1)
   predicatePairs.zipWithIndex.foreach { case ((i, j), k) =>
     pairSlot(i * n + j) = k
     pairSlot(j * n + i) = k
   }
-  private val pairPreds: Array[Array[Predicate]] = predicatePairs.map { case (i, j) =>
-    predicates.filter(p => p.i == i && p.j == j || p.i == j && p.j == i).toArray
+
+  /** pairCodes(k): the codes of the predicates on the pair `predicatePairs(k)`,
+    * in `predicates` order, oriented smaller position first. Derived, so not
+    * serialized.
+    */
+  @transient private[core] lazy val pairCodes: Array[Array[Int]] = predicatePairs.map { case (i, j) =>
+    predicates.collect {
+      case p if p.i == i && p.j == j => p.code
+      case p if p.i == j && p.j == i => p.code ^ 1
+    }.toArray
   }.toArray
 
   /** Index of the unordered pair {i, j} in `predicatePairs`, or -1 when no
@@ -91,15 +131,7 @@ final case class Pattern(
     */
   def pairHolds(i: Int, j: Int, ei: Event, ej: Event): Boolean = {
     val k = pairIndex(i, j)
-    if (k < 0) return true
-    val preds = pairPreds(k)
-    var t = 0
-    while (t < preds.length) {
-      val pr = preds(t)
-      if (!(if (pr.i == i) pr.eval(ei, ej) else pr.eval(ej, ei))) return false
-      t += 1
-    }
-    true
+    k < 0 || Predicate.allHold(pairCodes(k), if (i < j) 0 else 1, ei, ej)
   }
 }
 

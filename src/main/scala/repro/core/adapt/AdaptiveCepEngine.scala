@@ -92,8 +92,9 @@ final class AdaptiveCepEngine(
     if (e.ts < lastTs)
       throw new IllegalArgumentException(s"late event ${e.id}: ts ${e.ts} is below the last ts $lastTs")
     lastTs = e.ts
-    monitor.observe(e)
-    if (!pattern.typeToPos.contains(e.etype)) return Nil
+    val pos = pattern.typeToPos(e.etype)
+    monitor.observe(e, pos)
+    if (pos < 0) return Nil
     counters.events += 1
 
     // Retire engines whose ownership interval ended at least a window ago.
@@ -103,7 +104,7 @@ final class AdaptiveCepEngine(
     }
 
     out.clear()
-    engines.foreach(_.onEvent(e, out))
+    engines.foreach(_.onEvent(e, pos, out))
     counters.matches += out.length
 
     sinceDecision += 1

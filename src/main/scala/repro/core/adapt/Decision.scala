@@ -9,11 +9,12 @@ import repro.core.stats.Stats
   * `rearm` is called once after every planner invocation (whether or not the
   * plan was replaced) with the statistics used by the planner and the
   * deciding condition sets of the produced plan, letting stateful decision
-  * functions reset their baseline / invariant list.
+  * functions reset their baseline / invariant list. The DCSs are passed by
+  * name: only a decision function that reads them has them built.
   */
 trait Decision extends Serializable {
   def shouldReoptimize(stats: Stats): Boolean
-  def rearm(stats: Stats, dcs: Vector[Vector[InvariantCond]]): Unit = ()
+  def rearm(stats: Stats, dcs: => Vector[Vector[InvariantCond]]): Unit = ()
 
   /** Number of elementary condition checks performed so far (for overhead
     * accounting and complexity tests).
@@ -55,7 +56,7 @@ final class ThresholdDecision(val pattern: Pattern, val t: Double) extends Decis
     false
   }
 
-  override def rearm(stats: Stats, dcs: Vector[Vector[InvariantCond]]): Unit =
+  override def rearm(stats: Stats, dcs: => Vector[Vector[InvariantCond]]): Unit =
     baseline = stats.monitoredValues
 
   override def checksPerformed: Long = checks
@@ -87,7 +88,7 @@ final class InvariantDecision(val d: Double, val k: Int) extends Decision {
     false
   }
 
-  override def rearm(stats: Stats, dcs: Vector[Vector[InvariantCond]]): Unit =
+  override def rearm(stats: Stats, dcs: => Vector[Vector[InvariantCond]]): Unit =
     invariants = dcs.flatMap(_.take(k))
 
   override def checksPerformed: Long = checks

@@ -40,19 +40,22 @@ final class GreedyOrderPlanner(val pattern: Pattern) extends Planner {
   def generate(stats: Stats): PlanResult = {
     var remaining = Vector.range(0, pattern.n)
     var prefix = Vector.empty[Int]
-    val dcs = Vector.newBuilder[Vector[InvariantCond]]
+    // Per step: the prefix, the candidates, their costs and the winner's index.
+    val steps = Vector.newBuilder[(Vector[Int], Vector[Int], Vector[Double], Int)]
     while (remaining.nonEmpty) {
       val costs = remaining.map(CostModel.greedyStepCost(prefix, _, stats))
       // Winner: the first strict minimum, so ties go to the lower position.
       val w = costs.indices.minBy(costs)(Ordering.Double.IeeeOrdering)
-      // The block's DCS: the winner against every other candidate, with the
-      // slacks of the very costs it was picked by.
-      dcs += remaining.indices.filter(_ != w).toVector
-        .map(k => GreedyCond(prefix, remaining(w), remaining(k), costs(k) - costs(w)))
-        .sortBy(_.creationSlack)
+      steps += ((prefix, remaining, costs, w))
       prefix :+= remaining(w)
       remaining = remaining.patch(w, Nil, 1)
     }
-    PlanResult(OrderPlan(prefix), dcs.result())
+    // The block's DCS: the winner against every other candidate, with the
+    // slacks of the very costs it was picked by.
+    new PlanResult(OrderPlan(prefix), steps.result().map { case (pre, cands, costs, w) =>
+      cands.indices.filter(_ != w).toVector
+        .map(k => GreedyCond(pre, cands(w), cands(k), costs(k) - costs(w)))
+        .sortBy(_.creationSlack)
+    })
   }
 }

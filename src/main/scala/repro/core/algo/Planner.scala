@@ -32,8 +32,14 @@ trait InvariantCond extends Serializable {
   * of that plan (in invariant verification order — plan order for order-based
   * plans, leaves-to-root for tree-based plans), its deciding condition set
   * sorted tightest-first.
+  *
+  * The DCSs are built from what the planner recorded when `dcs` is first
+  * read. Only the invariant method reads them, so `A` under any other
+  * decision function costs what the uninstrumented algorithm costs.
   */
-final case class PlanResult(plan: EvalPlan, dcs: Vector[Vector[InvariantCond]])
+final class PlanResult(val plan: EvalPlan, buildDcs: => Vector[Vector[InvariantCond]]) {
+  lazy val dcs: Vector[Vector[InvariantCond]] = buildDcs
+}
 
 /** A deterministic evaluation-plan generation algorithm `A`, instrumented to
   * expose the deciding condition sets of the plan it produced (paper §3.1).

@@ -63,36 +63,44 @@ final case class TreeCond(chosen: InnerNode, other: InnerNode, creationSlack: Do
   *
   * Determinism: the split with the strictly lower cost wins; ties break
   * toward the leftmost split point.
+  *
+  * The DP runs over flat arrays and allocates only the final tree; the
+  * alternative trees of the DCSs are built when they are read.
   */
 final class ZStreamPlanner(val pattern: Pattern) extends Planner {
   def generate(stats: Stats): PlanResult = {
     val n = pattern.n
-    // DP state per range [lo, hi]: the costs of the splits it compared
-    // (split s at index s - lo) and the best tree.
-    val splitCosts = Array.ofDim[Array[Double]](n, n)
-    val cost = Array.tabulate(n, n)((i, j) => if (i == j) stats.rate(i) else 0.0)
-    val tree = Array.tabulate[TreeNode](n, n)((i, j) => if (i == j) LeafNode(i) else null)
+    // DP state of the range [lo, hi] at lo * n + hi: its cardinality, the
+    // cost of its best tree, and that tree's split s (its left subtree is
+    // [lo, s]).
+    val card = new Array[Double](n * n)
+    val cost = new Array[Double](n * n)
+    val best = new Array[Int](n * n)
+    def splitCost(lo: Int, s: Int, hi: Int): Double = cost(lo * n + s) + cost((s + 1) * n + hi) + card(lo * n + hi)
+    for (p <- 0 until n) cost(p * n + p) = stats.rate(p)
     for (len <- 2 to n; lo <- 0 to n - len) {
       val hi = lo + len - 1
-      val card = CostModel.rangeCardinality(lo, hi, stats)
-      val costs = Array.tabulate(hi - lo)(k => cost(lo)(lo + k) + cost(lo + k + 1)(hi) + card)
-      // The strictly lower cost wins; ties go to the leftmost split.
-      val s = lo + costs.indices.minBy(costs)(Ordering.Double.IeeeOrdering)
-      splitCosts(lo)(hi) = costs
-      cost(lo)(hi) = costs(s - lo)
-      tree(lo)(hi) = InnerNode(tree(lo)(s), tree(s + 1)(hi))
+      val r = lo * n + hi
+      card(r) = CostModel.rangeCardinality(lo, hi, stats)
+      // The first strict minimum wins, so ties go to the leftmost split.
+      cost(r) = splitCost(lo, lo, hi)
+      best(r) = lo
+      for (s <- lo + 1 until hi) {
+        val c = splitCost(lo, s, hi)
+        if (c < cost(r)) { cost(r) = c; best(r) = s }
+      }
     }
+    def tree(lo: Int, hi: Int): TreeNode =
+      if (lo == hi) LeafNode(lo) else InnerNode(tree(lo, best(lo * n + hi)), tree(best(lo * n + hi) + 1, hi))
+    val root = tree(0, n - 1)
 
     // DCS per internal node of the final plan, leaves-to-root, with the
     // slacks of the split costs the DP compared for the node's range.
-    val root = tree(0)(n - 1)
-    val dcs = root.nodesBottomUp.collect { case node: InnerNode =>
+    new PlanResult(TreePlan(root), root.nodesBottomUp.collect { case node: InnerNode =>
       val (lo, hi, chosen) = (node.lo, node.hi, node.left.hi)
-      val costs = splitCosts(lo)(hi)
       (lo until hi).filter(_ != chosen).toVector
-        .map(s => TreeCond(node, InnerNode(tree(lo)(s), tree(s + 1)(hi)), costs(s - lo) - cost(lo)(hi)))
+        .map(s => TreeCond(node, InnerNode(tree(lo, s), tree(s + 1, hi)), splitCost(lo, s, hi) - cost(lo * n + hi)))
         .sortBy(_.creationSlack)
-    }
-    PlanResult(TreePlan(root), dcs)
+    })
   }
 }

@@ -1,6 +1,6 @@
 package repro.core.engine
 
-import repro.core.{Event, Item, Pattern, PatternKind}
+import repro.core.{Event, Item, Pattern, PatternKind, Predicate}
 import scala.collection.mutable
 
 /** A partial match: events indexed by pattern position (`null` at positions
@@ -36,7 +36,7 @@ private[engine] final class Leaf(val pos: Int, val counted: Boolean) extends Joi
   */
 private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val right: JoinNode)
     extends JoinNode {
-  import Inner.{firstMaxTsAtLeast, Holds, Ordered}
+  import Inner.firstMaxTsAtLeast
   left.parent = this
   right.parent = this
   // Copied by hand: `Array.concat`'s generic path cost about 15% of engine construction.
@@ -55,36 +55,40 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
   private val next = new Array[Int](2)
 
   // checks(f): what an item arriving at the left (f = 0) or right (f = 1)
-  // child must meet with a stored item of the other, as flat (kind, arriving
-  // position, stored position) triples. For SEQ, the positions adjacent in the
-  // union but on different sides must be `Ordered` (each side is ordered
-  // already, so these order the union); then the predicates on pairs spanning
-  // the children must hold. Each spanning pair enters both, arriving position
-  // first. The same pass over the positions fills `next`.
+  // child must meet with a stored item of the other, as flat (code, arriving
+  // position, stored position) triples: `Predicate.holds(code, arriving
+  // event, stored event)` must hold. For SEQ, the positions adjacent in the
+  // union but on different sides must be in ts order (each side is ordered
+  // already, so these order the union); then every predicate on a pair
+  // spanning the children must hold. Each comparison enters both directions,
+  // oriented arriving op stored. The same pass over the positions fills `next`.
   private val checks: Array[Array[Int]] = {
     val side = new Array[Int](pattern.n) // 0 left, 1 right, -1 neither
     java.util.Arrays.fill(side, -1)
     var k = 0
     while (k < positions.length) { side(positions(k)) = if (k < left.positions.length) 0 else 1; k += 1 }
     val flat = Array(new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt)
-    def spanning(kind: Int, i: Int, j: Int): Unit =
+    def spanning(i: Int, j: Int, code: Int): Unit =
       if (side(i) >= 0 && side(j) >= 0 && side(i) != side(j)) {
-        flat(side(i)) += kind += i += j
-        flat(side(j)) += kind += j += i
+        flat(side(i)) += code += i += j
+        flat(side(j)) += code ^ 1 += j += i
       }
     var prev = -1
     var p = 0
     while (p < pattern.n) {
       if (side(p) >= 0) {
         if (prev >= 0 && side(prev) != side(p)) next(side(p)) = p
-        if (prev >= 0 && seq) spanning(Ordered, prev, p)
+        if (prev >= 0 && seq) spanning(prev, p, Predicate.TsLt)
         prev = p
       }
       p += 1
     }
     if (seq) next(1 - side(prev)) = -1
-    pattern.predicatePairs.foreach(ij => spanning(Holds, ij._1, ij._2))
-    Array(flat(0).result(), flat(1).result())
+    pattern.predicatePairs.zip(pattern.pairCodes).foreach { case ((i, j), codes) =>
+      codes.foreach(spanning(i, j, _))
+    }
+    // A dead direction never reads its checks.
+    Array.tabulate(2)(f => if (next(f) < 0) Array.emptyIntArray else flat(f).result())
   }
   // A child's store is read only by the arrivals at its sibling.
   left.kept = next(1) >= 0
@@ -113,12 +117,7 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
       var ok = hi - lo <= pattern.window
       var t = 0
       while (ok && t < check.length) {
-        val a = check(t + 1)
-        val s = check(t + 2)
-        val ea = item.at(a)
-        val es = stored.at(s)
-        ok = if (check(t) == Ordered) (if (a < s) ea.ts < es.ts else es.ts < ea.ts)
-          else pattern.pairHolds(a, s, ea, es)
+        ok = Predicate.holds(check(t), item.at(check(t + 1)), stored.at(check(t + 2)))
         t += 3
       }
       if (ok) {
@@ -133,8 +132,6 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
 }
 
 private[engine] object Inner {
-  private final val Ordered = 0 // the two positions' ts are in position order
-  private final val Holds = 1   // every predicate on the two positions holds
   /** The first index from `lo` on of `store`, sorted by `maxTs`, whose item's maxTs is at least `ts`. */
   private def firstMaxTsAtLeast(store: mutable.ArrayBuffer[Item], lo: Int, ts: Long): Int = {
     var l = lo
@@ -209,8 +206,13 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     * `IllegalArgumentException` if `e` is of a pattern type and `e.ts` is
     * below the last such event's.
     */
-  final def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit = {
-    val pos = pattern.typeToPos(e.etype)
+  final def onEvent(e: Event, out: mutable.Buffer[Array[Event]]): Unit =
+    onEvent(e, pattern.typeToPos(e.etype), out)
+
+  /** `onEvent(e, out)` with `pos`, the position of `e`'s type, already
+    * looked up (-1 for a type outside the pattern).
+    */
+  private[core] final def onEvent(e: Event, pos: Int, out: mutable.Buffer[Array[Event]]): Unit = {
     if (pos < 0) return
     if (e.ts < lastTs)
       throw new IllegalArgumentException(s"late event ${e.id}: ts ${e.ts} is below the last ts $lastTs")

@@ -1,6 +1,6 @@
 package repro.core.stats
 
-import repro.core.{Event, Pattern}
+import repro.core.{Event, Pattern, Predicate}
 
 /** Immutable snapshot of the monitored statistics (`Stat` in the paper): one
   * arrival rate per pattern position and one selectivity per predicate pair.
@@ -85,28 +85,41 @@ final class StatisticsMonitor(
   // the first sample.
   private val selEwma = Array.fill(pattern.predicatePairs.size)(Double.NaN)
 
+  // touching(p): for each predicate touching position p, in `predicates`
+  // order, the other position and the index of their pair. Derived, so not
+  // serialized.
+  @transient private lazy val touching: Array[Array[Int]] = Array.tabulate(n) { p =>
+    pattern.predicates.flatMap { pr =>
+      val other = if (pr.i == p) pr.j else if (pr.j == p) pr.i else -1
+      if (other < 0) Nil else List(other, pattern.pairIndex(p, other))
+    }.toArray
+  }
+
   private var observed: Long = 0L
 
   /** Feed one event. Events of types outside the pattern are ignored. */
-  def observe(e: Event): Unit = {
-    val pos = pattern.typeToPos(e.etype)
+  def observe(e: Event): Unit = observe(e, pattern.typeToPos(e.etype))
+
+  /** `observe(e)` with `pos`, the position of `e`'s type, already looked up
+    * (-1 for a type outside the pattern).
+    */
+  private[core] def observe(e: Event, pos: Int): Unit = {
     if (pos < 0) return
     observed += 1L
     rateHists(pos).add(e.ts)
     // Selectivity sampling: one partner draw per predicate touching `pos`.
-    val preds = pattern.predicates
+    val tab = touching(pos)
     var t = 0
-    while (t < preds.length) {
-      val pr = preds(t)
-      val otherPos = if (pr.i == pos) pr.j else if (pr.j == pos) pr.i else -1
-      if (otherPos >= 0 && ringLen(otherPos) > 0) {
-        val partner = rings(otherPos)(rnd.nextInt(ringLen(otherPos)))
-        val x = if (pattern.pairHolds(pos, otherPos, e, partner)) 1.0 else 0.0
-        val k = pattern.pairIndex(pos, otherPos)
+    while (t < tab.length) {
+      val other = tab(t)
+      if (ringLen(other) > 0) {
+        val partner = rings(other)(rnd.nextInt(ringLen(other)))
+        val k = tab(t + 1)
+        val x = if (Predicate.allHold(pattern.pairCodes(k), if (pos < other) 0 else 1, e, partner)) 1.0 else 0.0
         val prev = selEwma(k)
         selEwma(k) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
       }
-      t += 1
+      t += 2
     }
     // Ring insert after sampling so an event never pairs with itself.
     rings(pos)(ringNext(pos)) = e

@@ -108,7 +108,16 @@ class PatternSpec extends AnyFunSuite {
         Predicate(i, j, rnd.nextInt(2), if (rnd.nextBoolean()) PredOp.Lt else PredOp.Gt)
       }
       val p = Pattern.conj(n, 10, preds)
-      val evs = Vector.tabulate(n)(q => ev(q, q, rnd.nextInt(3).toDouble, rnd.nextInt(3).toDouble))
+      // Ties, both zeros and NaN, which every comparison rejects.
+      val values = Vector(0.0, -0.0, 1.0, 2.0, Double.NaN)
+      def draw() = values(rnd.nextInt(values.size))
+      val evs = Vector.tabulate(n)(q => ev(q, q, draw(), draw()))
+      // Each predicate's code, in both orientations, is its `eval`.
+      preds.foreach { pr =>
+        val want = pr.eval(evs(pr.i), evs(pr.j))
+        assert(Predicate.holds(pr.code, evs(pr.i), evs(pr.j)) == want, s"$pr on ${evs(pr.i)}, ${evs(pr.j)}")
+        assert(Predicate.holds(pr.code ^ 1, evs(pr.j), evs(pr.i)) == want, s"$pr on ${evs(pr.i)}, ${evs(pr.j)}")
+      }
       for (i <- 0 until n; j <- 0 until n if i != j) {
         val expected = preds
           .filter(pr => pr.i == i && pr.j == j || pr.i == j && pr.j == i)
@@ -117,6 +126,13 @@ class PatternSpec extends AnyFunSuite {
         assert(p.pairHolds(j, i, evs(j), evs(i)) == expected, s"$preds ($j,$i)")
       }
     }
+  }
+
+  test("the ts codes compare timestamps in both orientations") {
+    val (x, y) = (Event(0, 5, 0, 0.0, 0.0), Event(1, 7, 1, 0.0, 0.0))
+    assert(Predicate.holds(Predicate.TsLt, x, y) && !Predicate.holds(Predicate.TsLt, y, x))
+    assert(Predicate.holds(Predicate.TsLt ^ 1, y, x) && !Predicate.holds(Predicate.TsLt ^ 1, x, y))
+    assert(!Predicate.holds(Predicate.TsLt, x, x) && !Predicate.holds(Predicate.TsLt ^ 1, x, x))
   }
 
   test("event attr accessor") {

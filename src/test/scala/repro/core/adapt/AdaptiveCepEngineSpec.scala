@@ -3,8 +3,9 @@ package repro.core.adapt
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.core.algo.{Planner, PlanResult}
 import repro.core.plan.OrderPlan
-import repro.core.stats.StatisticsMonitor
+import repro.core.stats.{StatisticsMonitor, Stats}
 import repro.data.{StockGen, TrafficGen}
 import repro.harness.BenchHarness
 import repro.spark.{AlgoKind, Cep, CepConfig, DecisionKind}
@@ -167,6 +168,33 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
       assert(got == want, s"$algo n = $n")
       assert(counters(eng) == counters(whole), s"$algo n = $n")
       assert(whole.counters.replacements > 0 && whole.counters.matches > 0, s"$algo n = $n")
+    }
+  }
+
+  /** `planner`, counting how many of its results had their DCSs built. */
+  private final class CountingPlanner(planner: Planner) extends Planner {
+    var builds = 0
+    def generate(stats: Stats): PlanResult = {
+      val r = planner.generate(stats)
+      new PlanResult(r.plan, { builds += 1; r.dcs })
+    }
+  }
+
+  test("only the invariant method builds DCSs, one per A run") {
+    val ds = BenchHarness.traffic
+    val p = ds.pattern(4)
+    val evs = ds.gen(4, 6000, 5L)
+    for (algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream); kind <- BenchHarness.methods(algo)) {
+      val planner = new CountingPlanner(Cep.makePlanner(p, algo))
+      val eng = new AdaptiveCepEngine(p, planner, Cep.makeDecision(p, kind), statPeriod = 64, initialStats = None)
+      evs.foreach(eng.onEvent)
+      val runs = eng.counters.plannerRuns
+      kind match {
+        // The initial plan is an `A` run too.
+        case _: DecisionKind.Invariant => assert(planner.builds == runs + 1, s"$algo $kind")
+        case _                         => assert(planner.builds == 0, s"$algo $kind")
+      }
+      if (kind != DecisionKind.Static) assert(runs > 0, s"$algo $kind")
     }
   }
 

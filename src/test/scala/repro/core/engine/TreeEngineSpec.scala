@@ -81,6 +81,32 @@ class TreeEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("every plan of both kinds equals brute force on tied and NaN attributes (random SEQ/AND, n = 2-4)") {
+    val rnd = new scala.util.Random(71)
+    val values = Vector(0.0, -0.0, 1.0, 2.0, Double.NaN)
+    var matched = 0
+    for (conj <- Seq(false, true); n <- 2 to 4; _ <- 1 to 4) {
+      val preds = Vector.fill(1 + rnd.nextInt(n + 1)) {
+        val i = rnd.nextInt(n)
+        val j = (i + 1 + rnd.nextInt(n - 1)) % n
+        Predicate(i, j, rnd.nextInt(2), if (rnd.nextBoolean()) PredOp.Lt else PredOp.Gt)
+      }
+      val p = if (conj) Pattern.conj(n, 6, preds) else Pattern.seq(n, 6, preds)
+      var ts = 0L
+      val evs = Vector.tabulate(200) { i =>
+        ts += rnd.nextInt(2)
+        Event(i.toLong, ts, rnd.nextInt(n + 1), values(rnd.nextInt(values.size)), values(rnd.nextInt(values.size)))
+      }
+      val want = BruteForce.matches(p, evs)
+      matched += want.size
+      for (order <- (0 until n).permutations.map(_.toVector))
+        assert(BruteForce.runEngine(new OrderEngine(p, OrderPlan(order)), evs) == want, s"$p ${OrderPlan(order)}")
+      for (shape <- BruteForce.allTrees(0, n - 1))
+        assert(BruteForce.runEngine(new TreeEngine(p, TreePlan(shape)), evs) == want, s"$p ${TreePlan(shape)}")
+    }
+    assert(matched > 0, "the streams must match")
+  }
+
   test("pruning keeps results identical on long streams") {
     val p = Pattern.seq(3, 10)
     val evs = BruteForce.randomStream(3, 600, 13) // 600 pattern events: the engine prunes 4 times
