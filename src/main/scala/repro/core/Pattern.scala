@@ -59,13 +59,6 @@ object Predicate {
     case 4 => x.ts < y.ts
     case _ => x.ts > y.ts
   }
-
-  /** Whether `x <c ^ flip> y` holds for every code `c` of `codes`. */
-  private[core] def allHold(codes: Array[Int], flip: Int, x: Event, y: Event): Boolean = {
-    var t = 0
-    while (t < codes.length && holds(codes(t) ^ flip, x, y)) t += 1
-    t == codes.length
-  }
 }
 
 /** A CEP pattern: operator kind, the event type expected at each position,
@@ -131,7 +124,12 @@ final case class Pattern(
     */
   def pairHolds(i: Int, j: Int, ei: Event, ej: Event): Boolean = {
     val k = pairIndex(i, j)
-    k < 0 || Predicate.allHold(pairCodes(k), if (i < j) 0 else 1, ei, ej)
+    if (k < 0) return true
+    val codes = pairCodes(k)
+    val flip = if (i < j) 0 else 1
+    var t = 0
+    while (t < codes.length && Predicate.holds(codes(t) ^ flip, ei, ej)) t += 1
+    t == codes.length
   }
 }
 

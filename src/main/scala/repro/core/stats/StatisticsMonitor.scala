@@ -1,6 +1,6 @@
 package repro.core.stats
 
-import repro.core.{Event, Pattern, Predicate}
+import repro.core.{Event, Pattern}
 
 /** Immutable snapshot of the monitored statistics (`Stat` in the paper): one
   * arrival rate per pattern position and one selectivity per predicate pair.
@@ -86,13 +86,9 @@ final class StatisticsMonitor(
   private val selEwma = Array.fill(pattern.predicatePairs.size)(Double.NaN)
 
   // touching(p): for each predicate touching position p, in `predicates`
-  // order, the other position and the index of their pair. Derived, so not
-  // serialized.
+  // order, the other position. Derived, so not serialized.
   @transient private lazy val touching: Array[Array[Int]] = Array.tabulate(n) { p =>
-    pattern.predicates.flatMap { pr =>
-      val other = if (pr.i == p) pr.j else if (pr.j == p) pr.i else -1
-      if (other < 0) Nil else List(other, pattern.pairIndex(p, other))
-    }.toArray
+    pattern.predicates.collect { case pr if pr.i == p => pr.j; case pr if pr.j == p => pr.i }.toArray
   }
 
   private var observed: Long = 0L
@@ -114,12 +110,12 @@ final class StatisticsMonitor(
       val other = tab(t)
       if (ringLen(other) > 0) {
         val partner = rings(other)(rnd.nextInt(ringLen(other)))
-        val k = tab(t + 1)
-        val x = if (Predicate.allHold(pattern.pairCodes(k), if (pos < other) 0 else 1, e, partner)) 1.0 else 0.0
+        val x = if (pattern.pairHolds(pos, other, e, partner)) 1.0 else 0.0
+        val k = pattern.pairIndex(pos, other)
         val prev = selEwma(k)
         selEwma(k) = if (prev.isNaN) x else prev + ewmaAlpha * (x - prev)
       }
-      t += 2
+      t += 1
     }
     // Ring insert after sampling so an event never pairs with itself.
     rings(pos)(ringNext(pos)) = e
