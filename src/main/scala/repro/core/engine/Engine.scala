@@ -84,11 +84,18 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
       p += 1
     }
     if (seq) next(1 - side(prev)) = -1
-    pattern.predicatePairs.zip(pattern.pairCodes).foreach { case ((i, j), codes) =>
-      codes.foreach(spanning(i, j, _))
+    // Plain loops: a zip with a closure per pair made each deploy about 1.5 µs slower.
+    var q = 0
+    while (q < pattern.predicatePairs.length) {
+      val ij = pattern.predicatePairs(q)
+      val codes = pattern.pairCodes(q)
+      var c = 0
+      while (c < codes.length) { spanning(ij._1, ij._2, codes(c)); c += 1 }
+      q += 1
     }
     // A dead direction never reads its checks.
-    Array.tabulate(2)(f => if (next(f) < 0) Array.emptyIntArray else flat(f).result())
+    Array(if (next(0) < 0) Array.emptyIntArray else flat(0).result(),
+      if (next(1) < 0) Array.emptyIntArray else flat(1).result())
   }
   // A child's store is read only by the arrivals at its sibling.
   left.kept = next(1) >= 0
