@@ -55,7 +55,7 @@ final class AdaptiveCepEngine(
   val counters = new AdaptiveCounters
 
   /** Active engines, oldest first; each owns the matches from its start up to the next one's. */
-  private var engines: Vector[Engine] = Vector.empty
+  private var engines: Array[Engine] = Array.empty
   private var _currentPlan: EvalPlan = _
   private var sinceDecision = 0
   private var lastTs = Long.MinValue
@@ -98,13 +98,15 @@ final class AdaptiveCepEngine(
     counters.events += 1
 
     // Retire engines whose ownership interval ended at least a window ago.
-    while (engines.head.until <= e.ts - pattern.window) {
-      counters.pmRetired += engines.head.partialMatchesCreated
+    while (engines(0).until <= e.ts - pattern.window) {
+      counters.pmRetired += engines(0).partialMatchesCreated
       engines = engines.tail
     }
 
     out.clear()
-    engines.foreach(_.onEvent(e, pos, out))
+    val live = engines
+    var k = 0
+    while (k < live.length) { live(k).onEvent(e, pos, out); k += 1 }
     counters.matches += out.length
 
     sinceDecision += 1

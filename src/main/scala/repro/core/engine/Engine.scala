@@ -12,16 +12,27 @@ private[engine] final class PartialMatch(val events: Array[Event], val minTs: Lo
 /** Node of an engine's binary join tree. Its store holds the (partial)
   * matches over its `positions` in creation order, so in `maxTs` order: a
   * leaf's events, an inner node's `PartialMatch`es. It stores them only if
-  * `kept`, which its parent sets iff its join reads them.
+  * `kept`, which its parent sets iff its join reads them, and hands them to
+  * its parent's join only if `live`, which its parent sets iff that join
+  * can match them.
   */
 private[engine] sealed abstract class JoinNode extends Serializable {
   val positions: Array[Int]
   var parent: Inner = _
   var kept = false
+  var live = false
   val store = new mutable.ArrayBuffer[Item]
 
   /** Drop stored items older than `horizon`: no future arrival joins them. */
-  def prune(horizon: Long): Unit = store.filterInPlace(_.minTs >= horizon)
+  def prune(horizon: Long): Unit = {
+    var w = 0
+    var r = 0
+    while (r < store.length) {
+      if (store(r).minTs >= horizon) { store(w) = store(r); w += 1 }
+      r += 1
+    }
+    store.dropRightInPlace(store.length - w)
+  }
 }
 
 /** Leaf: the raw events of one position; its arrivals count as partial
@@ -52,33 +63,50 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
   // the sibling's highest one. A SEQ match needs the child's highest position
   // above the sibling's: an arriving item holds the event being processed at
   // its highest position, and every stored ts is at most that event's.
-  private val next = new Array[Int](2)
+  private[engine] val next = new Array[Int](2)
 
   // checks(f): what an item arriving at the left (f = 0) or right (f = 1)
   // child must meet with a stored item of the other, as flat (code, arriving
   // position, stored position) triples: `Predicate.holds(code, arriving
   // event, stored event)` must hold. For SEQ, the positions adjacent in the
   // union but on different sides must be in ts order (each side is ordered
-  // already, so these order the union); then every predicate on a pair
-  // spanning the children must hold. Each comparison enters both directions,
-  // oriented arriving op stored. The same pass over the positions fills `next`.
-  private val checks: Array[Array[Int]] = {
+  // already, so these order the union), except the last such pair (the
+  // sibling's highest position, next(f)), which the join's range proves; then
+  // every predicate on a pair spanning the children must hold. Each
+  // comparison enters both directions, oriented arriving op stored, but a
+  // dead direction keeps none. The same pass over the positions fills `next`.
+  private[engine] val checks: Array[Array[Int]] = {
     val side = new Array[Int](pattern.n) // 0 left, 1 right, -1 neither
     java.util.Arrays.fill(side, -1)
     var k = 0
     while (k < positions.length) { side(positions(k)) = if (k < left.positions.length) 0 else 1; k += 1 }
-    val flat = Array(new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt)
+    // Written into arrays of the largest possible length, then cut to length.
+    val most = 3 * (positions.length - 1 + pattern.predicates.length)
+    val flat = Array(new Array[Int](most), new Array[Int](most))
+    val len = new Array[Int](2)
+    def add(s: Int, code: Int, a: Int, b: Int): Unit = {
+      flat(s)(len(s)) = code
+      flat(s)(len(s) + 1) = a
+      flat(s)(len(s) + 2) = b
+      len(s) += 3
+    }
     def spanning(i: Int, j: Int, code: Int): Unit =
       if (side(i) >= 0 && side(j) >= 0 && side(i) != side(j)) {
-        flat(side(i)) += code += i += j
-        flat(side(j)) += code ^ 1 += j += i
+        add(side(i), code, i, j)
+        add(side(j), code ^ 1, j, i)
       }
     var prev = -1
+    var low = -1 // the latest pair adjacent across the sides is (low, high)
+    var high = -1
     var p = 0
     while (p < pattern.n) {
       if (side(p) >= 0) {
-        if (prev >= 0 && side(prev) != side(p)) next(side(p)) = p
-        if (prev >= 0 && seq) spanning(prev, p, Predicate.TsLt)
+        if (prev >= 0 && side(prev) != side(p)) {
+          if (seq && high >= 0) spanning(low, high, Predicate.TsLt)
+          next(side(p)) = p
+          low = prev
+          high = p
+        }
         prev = p
       }
       p += 1
@@ -93,45 +121,62 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
       while (c < codes.length) { spanning(ij._1, ij._2, codes(c)); c += 1 }
       q += 1
     }
-    // A dead direction never reads its checks.
-    Array(if (next(0) < 0) Array.emptyIntArray else flat(0).result(),
-      if (next(1) < 0) Array.emptyIntArray else flat(1).result())
+    Array(if (next(0) < 0) Array.emptyIntArray else java.util.Arrays.copyOf(flat(0), len(0)),
+      if (next(1) < 0) Array.emptyIntArray else java.util.Arrays.copyOf(flat(1), len(1)))
   }
+  // arriving(f): the events an item arriving at side f brings to checks(f),
+  // one per triple, read once per join. Scratch space, not state.
+  @transient private lazy val arriving =
+    Array(new Array[Event](checks(0).length / 3), new Array[Event](checks(1).length / 3))
   // A child's store is read only by the arrivals at its sibling.
   left.kept = next(1) >= 0
   right.kept = next(0) >= 0
+  left.live = next(0) >= 0
+  right.live = next(1) >= 0
 
-  /** Joins `item`, just arrived at child `from`, with the stored items of the
-    * other child that can match it, and appends the partial matches to the store.
+  /** Joins `item`, just arrived at child `from`, which must be `live`, with
+    * the stored items of the other child that can match it, and appends the
+    * partial matches to the store.
     */
   def join(from: JoinNode, item: Item): Unit = {
     val f = if (from eq left) 0 else 1
-    if (next(f) < 0) return
     val other = if (f == 0) right else left
     val check = checks(f)
+    val at = arriving(f)
+    var c = 0
+    while (c < at.length) { at(c) = item.at(check(3 * c + 1)); c += 1 }
+    val itemMinTs = item.minTs
+    val itemMaxTs = item.maxTs
     // A SEQ match needs the stored item's maxTs (its ts at the sibling's
     // highest position) within the window of item.maxTs and below the ts at next(f).
+    val oldest = itemMaxTs - pattern.window
     var m = 0
     var end = other.store.length
     if (seq) {
-      m = firstMaxTsAtLeast(other.store, 0, item.maxTs - pattern.window)
+      m = firstMaxTsAtLeast(other.store, 0, oldest)
       end = firstMaxTsAtLeast(other.store, m, item.at(next(f)).ts)
     }
+    // The window check. The item holds the event being processed, so its
+    // maxTs is at least every stored ts, and it lies within the window
+    // itself: the union does iff the stored item's minTs reaches back no
+    // further than `oldest`.
     while (m < end) {
       val stored = other.store(m)
-      val lo = math.min(item.minTs, stored.minTs)
-      val hi = math.max(item.maxTs, stored.maxTs)
-      var ok = hi - lo <= pattern.window
+      var ok = stored.minTs >= oldest
       var t = 0
-      while (ok && t < check.length) {
-        ok = Predicate.holds(check(t), item.at(check(t + 1)), stored.at(check(t + 2)))
+      c = 0
+      while (ok && c < at.length) {
+        ok = Predicate.holds(check(t), at(c), stored.at(check(t + 2)))
         t += 3
+        c += 1
       }
       if (ok) {
         val evs = new Array[Event](pattern.n)
-        from.positions.foreach(p => evs(p) = item.at(p))
-        other.positions.foreach(p => evs(p) = stored.at(p))
-        store += new PartialMatch(evs, lo, hi)
+        var k = 0
+        while (k < from.positions.length) { val p = from.positions(k); evs(p) = item.at(p); k += 1 }
+        k = 0
+        while (k < other.positions.length) { val p = other.positions(k); evs(p) = stored.at(p); k += 1 }
+        store += new PartialMatch(evs, math.min(itemMinTs, stored.minTs), itemMaxTs)
       }
       m += 1
     }
@@ -168,14 +213,15 @@ private[engine] object Inner {
   * item joined while event `e` is processed holds `e` at its highest position,
   * and every stored ts is at most `e.ts`. Hence:
   *  - an arrival at a child whose highest position is below its sibling's
-  *    can never match, and its join returns at once (in a ZStream tree, every
-  *    arrival at a left child);
+  *    can never match, so the child is not `live` and the arrival stops
+  *    there (in a ZStream tree, every arrival at a left child);
   *  - a node whose store only such a dead join would read is not `kept` (the
   *    root among them);
   *  - a store, in creation order, is sorted by `maxTs`, and a live join reads
   *    only the range with `maxTs` in `[now − window, ts)`, `ts` being the
   *    arrival's at the position just after the stored item's highest one:
-  *    the window check and the `Ordered` check at that pair.
+  *    the window check and the ts order at that pair, which the join's
+  *    checks therefore leave out.
   * Every item that a full scan would accept is still scanned, in store order,
   * so the partial matches are created in the same order.
   *
@@ -193,16 +239,22 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
   private var pmCount = 0L
   private var sincePrune = 0
   private var lastTs = Long.MinValue
-  private val nodes: List[JoinNode] = {
-    def all(node: JoinNode): List[JoinNode] = node match {
-      case in: Inner => in :: all(in.left) ::: all(in.right)
-      case leaf      => List(leaf)
+  private val nodes: Array[JoinNode] = {
+    val all = new mutable.ArrayBuffer[JoinNode](2 * pattern.n - 1)
+    def add(node: JoinNode): Unit = {
+      all += node
+      node match { case in: Inner => add(in.left); add(in.right); case _ => }
     }
-    all(root)
+    add(root)
+    all.toArray
   }
   private val leafOf: Array[Leaf] = {
     val leaves = new Array[Leaf](pattern.n)
-    nodes.foreach { case l: Leaf if l.pos >= 0 && l.pos < pattern.n => leaves(l.pos) = l; case _ => }
+    var k = 0
+    while (k < nodes.length) {
+      nodes(k) match { case l: Leaf if l.pos >= 0 && l.pos < pattern.n => leaves(l.pos) = l; case _ => }
+      k += 1
+    }
     // 2n − 1 nodes make n leaves, so no empty slot means one leaf per position.
     require(nodes.length == 2 * pattern.n - 1 && !leaves.contains(null),
       "the join tree must have one leaf per pattern position")
@@ -226,7 +278,8 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     lastTs = e.ts
     sincePrune += 1
     if (sincePrune >= Engine.PruneEvery) {
-      nodes.foreach(_.prune(e.ts - pattern.window))
+      var k = 0
+      while (k < nodes.length) { nodes(k).prune(e.ts - pattern.window); k += 1 }
       sincePrune = 0
     }
     val leaf = leafOf(pos)
@@ -234,13 +287,14 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     if (leaf eq root) { if (owns(e.ts)) out += Array(e) }
     else {
       if (leaf.kept) leaf.store += e
-      propagate(leaf, e, out)
+      if (leaf.live) propagate(leaf, e, out)
     }
   }
 
-  /** Join `item`, just arrived at `node`, with its sibling's store; the
-    * results are propagated from the parent, or emitted at the root, and
-    * stay in the parent's store only if it is kept.
+  /** Join `item`, just arrived at `node`, which is `live`, with its
+    * sibling's store; the results are propagated from the parent if it is
+    * live, or emitted at the root, and stay in the parent's store only if
+    * it is kept.
     */
   private def propagate(node: JoinNode, item: Item, out: mutable.Buffer[Array[Event]]): Unit = {
     val parent = node.parent
@@ -250,11 +304,11 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
     var k = first
     while (k < parent.store.length) {
       val pm = parent.store(k).asInstanceOf[PartialMatch]
-      if (parent ne root) propagate(parent, pm, out)
-      else if (owns(pm.minTs)) out += pm.events
+      if (parent eq root) { if (owns(pm.minTs)) out += pm.events }
+      else if (parent.live) propagate(parent, pm, out)
       k += 1
     }
-    if (!parent.kept) parent.store.clear()
+    if (!parent.kept && parent.store.length > 0) parent.store.clear()
   }
 
   private def owns(minTs: Long): Boolean = minTs >= from && minTs < until

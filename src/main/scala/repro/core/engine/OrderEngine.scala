@@ -12,5 +12,13 @@ import repro.core.plan.OrderPlan
   * first prefix of `CostModel.orderCost`).
   */
 final class OrderEngine(pattern: Pattern, plan: OrderPlan)
-    extends Engine(pattern, plan.order.tail.map(new Leaf(_, counted = false)).foldLeft[JoinNode](
-      new Leaf(plan.order.head, counted = true))(new Inner(pattern, _, _)))
+    extends Engine(pattern, OrderEngine.joinTree(pattern, plan.order))
+
+private[engine] object OrderEngine {
+  private[engine] def joinTree(pattern: Pattern, order: Vector[Int]): JoinNode = {
+    var node: JoinNode = new Leaf(order(0), counted = true)
+    var k = 1
+    while (k < order.length) { node = new Inner(pattern, node, new Leaf(order(k), counted = false)); k += 1 }
+    node
+  }
+}

@@ -10,8 +10,8 @@ import repro.core.plan.{InnerNode, LeafNode, TreeNode, TreePlan}
 final class TreeEngine(pattern: Pattern, plan: TreePlan)
     extends Engine(pattern, TreeEngine.joinTree(pattern, plan.root))
 
-private object TreeEngine {
-  private def joinTree(pattern: Pattern, node: TreeNode): JoinNode = node match {
+private[engine] object TreeEngine {
+  private[engine] def joinTree(pattern: Pattern, node: TreeNode): JoinNode = node match {
     case LeafNode(p)     => new Leaf(p, counted = true)
     case InnerNode(l, r) => new Inner(pattern, joinTree(pattern, l), joinTree(pattern, r))
   }

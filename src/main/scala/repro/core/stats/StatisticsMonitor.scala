@@ -59,7 +59,8 @@ object Stats {
   * @param statWindow  sliding window (ticks) for rate estimation; the
   *                    adaptive loop uses `StatWindowFactor` pattern windows
   * @param ewmaAlpha   EWMA smoothing factor for selectivity estimates
-  * @param seed        seed of the partner sampling
+  * @param seed        seed of the partner sampling: the partners are those
+  *                    that `new java.util.Random(seed).nextInt` draws
   */
 final class StatisticsMonitor(
     val pattern: Pattern,
@@ -72,7 +73,10 @@ final class StatisticsMonitor(
   def this(pattern: Pattern) = this(pattern, pattern.window * StatisticsMonitor.StatWindowFactor)
 
   private val n = pattern.n
-  private val rnd = new scala.util.Random(seed)
+
+  // The state of `java.util.Random`'s 48-bit linear congruential generator,
+  // in a plain field: `java.util.Random` advances it by compare-and-set.
+  private var lcg: Long = (seed ^ StatisticsMonitor.LcgMultiplier) & StatisticsMonitor.LcgMask
 
   private val rateHists = Array.fill(n)(new ExponentialHistogram(statWindow))
 
@@ -109,7 +113,7 @@ final class StatisticsMonitor(
     while (t < tab.length) {
       val other = tab(t)
       if (ringLen(other) > 0) {
-        val partner = rings(other)(rnd.nextInt(ringLen(other)))
+        val partner = rings(other)(nextInt(ringLen(other)))
         val x = if (pattern.pairHolds(pos, other, e, partner)) 1.0 else 0.0
         val k = pattern.pairIndex(pos, other)
         val prev = selEwma(k)
@@ -121,6 +125,27 @@ final class StatisticsMonitor(
     rings(pos)(ringNext(pos)) = e
     ringNext(pos) = (ringNext(pos) + 1) % StatisticsMonitor.RingCapacity
     if (ringLen(pos) < StatisticsMonitor.RingCapacity) ringLen(pos) += 1
+  }
+
+  /** The next of the draws that `new java.util.Random(seed).nextInt(bound)`
+    * would make, for `bound > 0`.
+    */
+  private[stats] def nextInt(bound: Int): Int = {
+    var r = next31()
+    val m = bound - 1
+    if ((bound & m) == 0) ((bound * r.toLong) >> 31).toInt
+    else {
+      var u = r
+      r = u % bound
+      while (u - r + m < 0) { u = next31(); r = u % bound }
+      r
+    }
+  }
+
+  /** `java.util.Random.next(31)`. */
+  private def next31(): Int = {
+    lcg = (lcg * StatisticsMonitor.LcgMultiplier + StatisticsMonitor.LcgAddend) & StatisticsMonitor.LcgMask
+    (lcg >>> 17).toInt
   }
 
   /** Total pattern-relevant events observed so far. */
@@ -148,5 +173,10 @@ object StatisticsMonitor {
   final val Seed = 17L
 
   /** Per-position ring buffer capacity for partner sampling. */
-  private final val RingCapacity = 48
+  private[stats] final val RingCapacity = 48
+
+  // `java.util.Random`'s generator constants.
+  private final val LcgMultiplier = 0x5DEECE66DL
+  private final val LcgAddend = 0xBL
+  private final val LcgMask = (1L << 48) - 1
 }

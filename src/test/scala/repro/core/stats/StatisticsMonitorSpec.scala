@@ -1,7 +1,9 @@
 package repro.core.stats
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Event, Pattern, PredOp, Predicate}
+import repro.harness.BenchHarness
 
 /** On-the-fly rate / selectivity estimation. */
 class StatisticsMonitorSpec extends AnyFunSuite {
@@ -127,5 +129,58 @@ class StatisticsMonitorSpec extends AnyFunSuite {
     (0 until 50).foreach(i => mon.observe(Event(i, i / 5, 0, 0, 0))) // 5 events per tick
     val s = mon.snapshot(9)
     assert(s.rate(0) <= 1.0 && s.rate(0) > 0.0)
+  }
+
+  test("partner draws equal java.util.Random's nextInt for every bound up to the ring capacity") {
+    val p = Pattern.seq(2, 10)
+    for (seed <- Seq(StatisticsMonitor.Seed, 0L, -5L, 90017L)) {
+      for (bound <- 1 to StatisticsMonitor.RingCapacity) {
+        val mon = new StatisticsMonitor(p, 10, seed = seed)
+        val ref = new java.util.Random(seed)
+        (1 to 10000).foreach(i => assert(mon.nextInt(bound) == ref.nextInt(bound), s"seed $seed bound $bound draw $i"))
+      }
+      // The ring bounds almost never reach the rejection loop; just above
+      // 2^30 it runs on about half of the draws.
+      for (bound <- Seq(1 << 30, (1 << 30) + 1)) {
+        val mon = new StatisticsMonitor(p, 10, seed = seed)
+        val ref = new java.util.Random(seed)
+        (1 to 1000).foreach(i => assert(mon.nextInt(bound) == ref.nextInt(bound), s"seed $seed bound $bound draw $i"))
+      }
+      // Bounds changing from draw to draw, as the rings fill.
+      val mon = new StatisticsMonitor(p, 10, seed = seed)
+      val ref = new java.util.Random(seed)
+      (0 until 10000).foreach { i =>
+        val bound = 1 + i % StatisticsMonitor.RingCapacity
+        assert(mon.nextInt(bound) == ref.nextInt(bound), s"seed $seed draw $i")
+      }
+    }
+  }
+
+  /** Java serialization round trip, as the streaming operator stores the monitor per micro-batch. */
+  private def roundTrip(mon: StatisticsMonitor): StatisticsMonitor = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(mon)
+    out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[StatisticsMonitor]
+  }
+
+  test("a monitor replaced by its serialized copy every 300 events gives the snapshots of an uninterrupted one") {
+    val ds = BenchHarness.traffic
+    for (n <- Seq(4, 6)) {
+      val p = ds.pattern(n)
+      val evs = ds.gen(n, 6000, 77L)
+      val whole = new StatisticsMonitor(p)
+      var mon = new StatisticsMonitor(p)
+      evs.zipWithIndex.foreach { case (e, i) =>
+        if (i % 300 == 299) mon = roundTrip(mon)
+        whole.observe(e)
+        mon.observe(e)
+        if (i % 64 == 63)
+          assert(mon.snapshot(e.ts).monitoredValues.toVector == whole.snapshot(e.ts).monitoredValues.toVector,
+            s"n = $n, event $i")
+      }
+      assert(mon.observedCount == whole.observedCount)
+    }
   }
 }
