@@ -55,6 +55,50 @@ class GoldenCountersSpec extends AnyFunSuite {
     ),
   )
 
+  /** Per pattern length and cell: an order-sensitive hash of the emitted
+    * matches, `h = h * 1000003 + id` over each match's event ids by
+    * position, the matches in emission order. The engines promise the same
+    * matches in the same order; the counters above would not see a reorder.
+    */
+  private val order: Map[Int, Map[String, Long]] = Map(
+    4 -> Map(
+      "traffic Greedy Static" -> -7981952910261186649L,
+      "traffic Greedy Unconditional" -> 5446082090250518423L,
+      "traffic Greedy Threshold(0.1)" -> -6830448790333705289L,
+      "traffic Greedy Invariant(0.2,1)" -> 8155672956461079575L,
+      "traffic ZStream Static" -> -7981952910261186649L,
+      "traffic ZStream Unconditional" -> -165849119060515401L,
+      "traffic ZStream Threshold(0.1)" -> -4253124243986250361L,
+      "traffic ZStream Invariant(0.2,3)" -> -5811492225816871193L,
+      "stocks Greedy Static" -> -5756945224054174870L,
+      "stocks Greedy Unconditional" -> -5200520639509313830L,
+      "stocks Greedy Threshold(0.1)" -> -5057309583265736806L,
+      "stocks Greedy Invariant(0.2,1)" -> -8227557549906476518L,
+      "stocks ZStream Static" -> -5756945224054174870L,
+      "stocks ZStream Unconditional" -> 6040108069646399482L,
+      "stocks ZStream Threshold(0.1)" -> -4587867187569803142L,
+      "stocks ZStream Invariant(0.2,3)" -> 1973920628158743962L,
+    ),
+    6 -> Map(
+      "traffic Greedy Static" -> -4752242721089800779L,
+      "traffic Greedy Unconditional" -> -4752242721089800779L,
+      "traffic Greedy Threshold(0.1)" -> -4752242721089800779L,
+      "traffic Greedy Invariant(0.2,1)" -> -4752242721089800779L,
+      "traffic ZStream Static" -> -4752242721089800779L,
+      "traffic ZStream Unconditional" -> -4752242721089800779L,
+      "traffic ZStream Threshold(0.1)" -> -4752242721089800779L,
+      "traffic ZStream Invariant(0.2,3)" -> -4752242721089800779L,
+      "stocks Greedy Static" -> -163811472467803787L,
+      "stocks Greedy Unconditional" -> 6668691311084409853L,
+      "stocks Greedy Threshold(0.1)" -> 8569261077375302989L,
+      "stocks Greedy Invariant(0.2,1)" -> -2999694221206605739L,
+      "stocks ZStream Static" -> -163811472467803787L,
+      "stocks ZStream Unconditional" -> -5670661149465983939L,
+      "stocks ZStream Threshold(0.1)" -> -8251034102067741171L,
+      "stocks ZStream Invariant(0.2,3)" -> 8405450387712238869L,
+    ),
+  )
+
   private val Events = 5000
   private val Seed = 7L
 
@@ -66,15 +110,29 @@ class GoldenCountersSpec extends AnyFunSuite {
   } {
     val cell = s"${ds.name} $algo $dk"
     // The length-4 cells were the first and keep their names.
-    test(s"counters unchanged: $cell" + (if (len == 4) "" else s", length $len")) {
+    val suffix = if (len == 4) "" else s", length $len"
+    // One run per cell, shared by its two tests.
+    lazy val run = {
       val eng = Cep.makeEngine(ds.pattern(len), CepConfig(algo, dk))
       var emitted = 0L
-      ds.gen(len, Events, Seed).foreach(e => emitted += eng.onEvent(e).length)
+      var hash = 0L
+      ds.gen(len, Events, Seed).foreach { e =>
+        val ms = eng.onEvent(e)
+        emitted += ms.length
+        ms.foreach(_.foreach(ev => hash = hash * 1000003L + ev.id))
+      }
       val c = eng.counters
-      assert(emitted == c.matches)
       val got = Vector(c.matches, eng.partialMatchesCreated, c.plannerRuns, c.replacements,
         c.fruitlessRuns, c.decisionEvals, eng.decision.checksPerformed)
+      (emitted, got, hash)
+    }
+    test(s"counters unchanged: $cell" + suffix) {
+      val (emitted, got, _) = run
+      assert(emitted == got(0))
       assert(got == cells(cell))
+    }
+    test(s"match order unchanged: $cell" + suffix) {
+      assert(run._3 == order(len)(cell))
     }
   }
 }
