@@ -24,15 +24,7 @@ private[engine] sealed abstract class JoinNode extends Serializable {
   val store = new mutable.ArrayBuffer[Item]
 
   /** Drop stored items older than `horizon`: no future arrival joins them. */
-  def prune(horizon: Long): Unit = {
-    var w = 0
-    var r = 0
-    while (r < store.length) {
-      if (store(r).minTs >= horizon) { store(w) = store(r); w += 1 }
-      r += 1
-    }
-    store.dropRightInPlace(store.length - w)
-  }
+  def prune(horizon: Long): Unit = store.filterInPlace(_.minTs >= horizon)
 }
 
 /** Leaf: the raw events of one position; its arrivals count as partial
@@ -50,12 +42,7 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
   import Inner.firstMaxTsAtLeast
   left.parent = this
   right.parent = this
-  // Copied by hand: `Array.concat`'s generic path cost about 15% of engine construction.
-  val positions: Array[Int] = {
-    val ps = java.util.Arrays.copyOf(left.positions, left.positions.length + right.positions.length)
-    System.arraycopy(right.positions, 0, ps, left.positions.length, right.positions.length)
-    ps
-  }
+  val positions: Array[Int] = left.positions ++ right.positions
   private val seq = pattern.kind == PatternKind.Sequence
 
   // next(f): for an item arriving at the left (f = 0) or right (f = 1) child,
@@ -124,10 +111,6 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
     Array(if (next(0) < 0) Array.emptyIntArray else java.util.Arrays.copyOf(flat(0), len(0)),
       if (next(1) < 0) Array.emptyIntArray else java.util.Arrays.copyOf(flat(1), len(1)))
   }
-  // arriving(f): the events an item arriving at side f brings to checks(f),
-  // one per triple, read once per join. Scratch space, not state.
-  @transient private lazy val arriving =
-    Array(new Array[Event](checks(0).length / 3), new Array[Event](checks(1).length / 3))
   // A child's store is read only by the arrivals at its sibling.
   left.kept = next(1) >= 0
   right.kept = next(0) >= 0
@@ -142,20 +125,14 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
     val f = if (from eq left) 0 else 1
     val other = if (f == 0) right else left
     val check = checks(f)
-    val at = arriving(f)
-    var c = 0
-    while (c < at.length) { at(c) = item.at(check(3 * c + 1)); c += 1 }
     val itemMinTs = item.minTs
     val itemMaxTs = item.maxTs
-    // A SEQ match needs the stored item's maxTs (its ts at the sibling's
-    // highest position) within the window of item.maxTs and below the ts at next(f).
+    // A match needs the stored item's maxTs within the window of item.maxTs
+    // and, for SEQ, below the ts at next(f) (the stored item's maxTs is its
+    // ts at the sibling's highest position).
     val oldest = itemMaxTs - pattern.window
-    var m = 0
-    var end = other.store.length
-    if (seq) {
-      m = firstMaxTsAtLeast(other.store, 0, oldest)
-      end = firstMaxTsAtLeast(other.store, m, item.at(next(f)).ts)
-    }
+    var m = firstMaxTsAtLeast(other.store, 0, oldest)
+    val end = if (seq) firstMaxTsAtLeast(other.store, m, item.at(next(f)).ts) else other.store.length
     // The window check. The item holds the event being processed, so its
     // maxTs is at least every stored ts, and it lies within the window
     // itself: the union does iff the stored item's minTs reaches back no
@@ -164,11 +141,9 @@ private[engine] final class Inner(pattern: Pattern, val left: JoinNode, val righ
       val stored = other.store(m)
       var ok = stored.minTs >= oldest
       var t = 0
-      c = 0
-      while (ok && c < at.length) {
-        ok = Predicate.holds(check(t), at(c), stored.at(check(t + 2)))
+      while (ok && t < check.length) {
+        ok = Predicate.holds(check(t), item.at(check(t + 1)), stored.at(check(t + 2)))
         t += 3
-        c += 1
       }
       if (ok) {
         val evs = new Array[Event](pattern.n)
@@ -209,19 +184,21 @@ private[engine] object Inner {
   * stored one, so each combination is produced exactly once. Every
   * `PruneEvery` pattern events the stores are pruned at horizon `now − window`.
   *
-  * SEQ joins scan only the stored items that the checks could accept. Every
-  * item joined while event `e` is processed holds `e` at its highest position,
-  * and every stored ts is at most `e.ts`. Hence:
-  *  - an arrival at a child whose highest position is below its sibling's
-  *    can never match, so the child is not `live` and the arrival stops
-  *    there (in a ZStream tree, every arrival at a left child);
-  *  - a node whose store only such a dead join would read is not `kept` (the
-  *    root among them);
+  * Joins scan only the stored items that the checks could accept. Every
+  * item joined while event `e` is processed holds `e`, at its highest
+  * position under SEQ, and every stored ts is at most `e.ts`. Hence:
   *  - a store, in creation order, is sorted by `maxTs`, and a live join reads
-  *    only the range with `maxTs` in `[now − window, ts)`, `ts` being the
-  *    arrival's at the position just after the stored item's highest one:
-  *    the window check and the ts order at that pair, which the join's
-  *    checks therefore leave out.
+  *    only the items with `maxTs` at least `now − window`: an older one's
+  *    `minTs` is older too, so the window check would reject it;
+  *  - under SEQ, an arrival at a child whose highest position is below its
+  *    sibling's can never match, so the child is not `live` and the arrival
+  *    stops there (in a ZStream tree, every arrival at a left child);
+  *  - under SEQ, a node whose store only such a dead join would read is not
+  *    `kept` (the root among them);
+  *  - under SEQ, the range also ends below `ts`, the arrival's at the
+  *    position just after the stored item's highest one: the ts order at that
+  *    pair, which the join's checks therefore leave out. An AND join reads
+  *    to the end of the store.
   * Every item that a full scan would accept is still scanned, in store order,
   * so the partial matches are created in the same order.
   *
