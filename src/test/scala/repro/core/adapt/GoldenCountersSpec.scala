@@ -1,5 +1,6 @@
 package repro.core.adapt
 
+import java.io.{ByteArrayOutputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.harness.BenchHarness
 import repro.spark.{AlgoKind, Cep, CepConfig}
@@ -99,8 +100,60 @@ class GoldenCountersSpec extends AnyFunSuite {
     ),
   )
 
+  /** Per pattern length and cell: the length in bytes of the loop's Java
+    * serialization (`ObjectOutputStream`) at the end of its run, the state a
+    * streaming operator stores per key. A field or class added to the
+    * serialized graph shows here, though it changes no counter.
+    */
+  private val stateBytes: Map[Int, Map[String, Long]] = Map(
+    4 -> Map(
+      "traffic Greedy Static" -> 181461L,
+      "traffic Greedy Unconditional" -> 21036L,
+      "traffic Greedy Threshold(0.1)" -> 54012L,
+      "traffic Greedy Invariant(0.2,1)" -> 54197L,
+      "traffic ZStream Static" -> 21238L,
+      "traffic ZStream Unconditional" -> 46422L,
+      "traffic ZStream Threshold(0.1)" -> 54221L,
+      "traffic ZStream Invariant(0.2,3)" -> 54639L,
+      "stocks Greedy Static" -> 166192L,
+      "stocks Greedy Unconditional" -> 15169L,
+      "stocks Greedy Threshold(0.1)" -> 15296L,
+      "stocks Greedy Invariant(0.2,1)" -> 17463L,
+      "stocks ZStream Static" -> 15371L,
+      "stocks ZStream Unconditional" -> 17360L,
+      "stocks ZStream Threshold(0.1)" -> 17487L,
+      "stocks ZStream Invariant(0.2,3)" -> 17905L,
+    ),
+    6 -> Map(
+      "traffic Greedy Static" -> 31459L,
+      "traffic Greedy Unconditional" -> 27730L,
+      "traffic Greedy Threshold(0.1)" -> 26505L,
+      "traffic Greedy Invariant(0.2,1)" -> 26610L,
+      "traffic ZStream Static" -> 25960L,
+      "traffic ZStream Unconditional" -> 26434L,
+      "traffic ZStream Threshold(0.1)" -> 25389L,
+      "traffic ZStream Invariant(0.2,3)" -> 28977L,
+      "stocks Greedy Static" -> 67667L,
+      "stocks Greedy Unconditional" -> 72287L,
+      "stocks Greedy Threshold(0.1)" -> 50483L,
+      "stocks Greedy Invariant(0.2,1)" -> 56190L,
+      "stocks ZStream Static" -> 20604L,
+      "stocks ZStream Unconditional" -> 72550L,
+      "stocks ZStream Threshold(0.1)" -> 50746L,
+      "stocks ZStream Invariant(0.2,3)" -> 88045L,
+    ),
+  )
+
   private val Events = 5000
   private val Seed = 7L
+
+  private def serializedLength(o: AnyRef): Long = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(o)
+    out.close()
+    bytes.size.toLong
+  }
 
   for {
     (len, cells) <- golden
@@ -124,15 +177,18 @@ class GoldenCountersSpec extends AnyFunSuite {
       val c = eng.counters
       val got = Vector(c.matches, eng.partialMatchesCreated, c.plannerRuns, c.replacements,
         c.fruitlessRuns, c.decisionEvals, eng.decision.checksPerformed)
-      (emitted, got, hash)
+      (emitted, got, hash, serializedLength(eng))
     }
     test(s"counters unchanged: $cell" + suffix) {
-      val (emitted, got, _) = run
+      val (emitted, got, _, _) = run
       assert(emitted == got(0))
       assert(got == cells(cell))
     }
     test(s"match order unchanged: $cell" + suffix) {
       assert(run._3 == order(len)(cell))
+    }
+    test(s"serialized state size unchanged: $cell" + suffix) {
+      assert(run._4 == stateBytes(len)(cell))
     }
   }
 }
