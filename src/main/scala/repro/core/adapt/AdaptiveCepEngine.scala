@@ -2,8 +2,8 @@ package repro.core.adapt
 
 import repro.core.{Event, Pattern}
 import repro.core.algo.{Planner, PlanResult}
-import repro.core.engine.{Engine, OrderEngine, TreeEngine}
-import repro.core.plan.{EvalPlan, OrderPlan, TreePlan}
+import repro.core.engine.Engine
+import repro.core.plan.EvalPlan
 import repro.core.stats.StatisticsMonitor
 import scala.collection.mutable
 
@@ -72,10 +72,7 @@ final class AdaptiveCepEngine(
   /** Make `plan` current and start its engine, owning matches from `startTs`. */
   private def deploy(plan: EvalPlan, startTs: Long): Unit = {
     _currentPlan = plan
-    val engine = plan match {
-      case op: OrderPlan => new OrderEngine(pattern, op)
-      case tp: TreePlan  => new TreeEngine(pattern, tp)
-    }
+    val engine = new Engine(pattern, plan)
     engine.from = startTs
     engines.lastOption.foreach(_.until = startTs)
     engines = engines :+ engine

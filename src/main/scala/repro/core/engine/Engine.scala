@@ -1,6 +1,7 @@
 package repro.core.engine
 
 import repro.core.{Event, Item, Pattern, PatternKind, Predicate}
+import repro.core.plan.{EvalPlan, InnerNode, LeafNode, OrderPlan, TreeNode, TreePlan}
 import scala.collection.mutable
 
 /** A partial match: events indexed by pattern position (`null` at positions
@@ -171,11 +172,12 @@ private[engine] object Inner {
   }
 }
 
-/** A pattern evaluation engine: a binary join tree over the pattern positions
-  * (ZStream [38]; an order plan of the lazy NFA [33] is the left-deep tree
-  * over its processing order). Events must be fed in non-decreasing timestamp
-  * order, and an earlier one is rejected; full matches (events by pattern
-  * position) are appended to `out`.
+/** The evaluation engine of a plan of either kind: the binary join tree over
+  * the pattern positions that `Engine.joinTree` builds from the plan (a
+  * ZStream [38] tree, or the left-deep tree over a lazy NFA [33] order), which
+  * throws `IllegalArgumentException` unless the plan uses each position once.
+  * Events must be fed in non-decreasing timestamp order, and an earlier one is
+  * rejected; full matches (events by pattern position) are appended to `out`.
   *
   * An arriving event is joined at its leaf's parent with the stored items of
   * the leaf's sibling; each result is joined in turn at the grandparent with
@@ -210,33 +212,15 @@ private[engine] object Inner {
   * which saw all of the match's events, emits it. Unowned results still count
   * as partial matches.
   */
-abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) extends Serializable {
+class Engine(val pattern: Pattern, plan: EvalPlan) extends Serializable {
   private[core] var from = Long.MinValue
   private[core] var until = Long.MaxValue
   private var pmCount = 0L
   private var sincePrune = 0
   private var lastTs = Long.MinValue
-  private val nodes: Array[JoinNode] = {
-    val all = new mutable.ArrayBuffer[JoinNode](2 * pattern.n - 1)
-    def add(node: JoinNode): Unit = {
-      all += node
-      node match { case in: Inner => add(in.left); add(in.right); case _ => }
-    }
-    add(root)
-    all.toArray
-  }
-  private val leafOf: Array[Leaf] = {
-    val leaves = new Array[Leaf](pattern.n)
-    var k = 0
-    while (k < nodes.length) {
-      nodes(k) match { case l: Leaf if l.pos >= 0 && l.pos < pattern.n => leaves(l.pos) = l; case _ => }
-      k += 1
-    }
-    // 2n − 1 nodes make n leaves, so no empty slot means one leaf per position.
-    require(nodes.length == 2 * pattern.n - 1 && !leaves.contains(null),
-      "the join tree must have one leaf per pattern position")
-    leaves
-  }
+  private val leafOf = new Array[Leaf](pattern.n)
+  private val nodes = new Array[JoinNode](2 * pattern.n - 1)
+  private[engine] val root: JoinNode = Engine.joinTree(pattern, plan, leafOf, nodes)
 
   /** Process one event, appending the matches it completes to `out`. Throws
     * `IllegalArgumentException` if `e` is of a pattern type and `e.ts` is
@@ -299,4 +283,49 @@ abstract class Engine private[engine] (val pattern: Pattern, root: JoinNode) ext
 
 object Engine {
   private final val PruneEvery = 128
+
+  /** Builds `plan`'s join tree over `pattern` and returns its root, filling
+    * `leafOf` (the leaf of each position) and `nodes` (every node, in
+    * creation order). Throws `IllegalArgumentException` unless the plan uses
+    * each position `0..n−1` exactly once.
+    *
+    * An order plan (lazy NFA [33]) makes the left-deep tree over its order.
+    * The order is a processing order, not the temporal order: the inner node
+    * over `order.take(k)` holds the partial matches of that prefix, and an
+    * event of position `order(k)` extends the stored prefixes while stored
+    * events of later positions extend it in turn. Only the leaf of
+    * `order(0)` counts its arrivals (the first prefix of
+    * `CostModel.orderCost`). A tree plan (ZStream [38]) makes its own tree,
+    * and every leaf counts its arrivals (the leaf rates of
+    * `CostModel.treeCost`).
+    */
+  private def joinTree(pattern: Pattern, plan: EvalPlan, leafOf: Array[Leaf], nodes: Array[JoinNode]): JoinNode = {
+    val uses = plan match {
+      case OrderPlan(order) => order
+      case TreePlan(root)   => root.nodesBottomUp.collect { case LeafNode(p) => p }
+    }
+    require(uses.sorted == (0 until pattern.n),
+      s"plan $plan must use each position 0..${pattern.n - 1} exactly once")
+    var made = 0
+    def add[N <: JoinNode](node: N): N = { nodes(made) = node; made += 1; node }
+    def leaf(pos: Int, counted: Boolean): Leaf = { val l = add(new Leaf(pos, counted)); leafOf(pos) = l; l }
+    def tree(node: TreeNode): JoinNode = node match {
+      case LeafNode(p)     => leaf(p, counted = true)
+      case InnerNode(l, r) => add(new Inner(pattern, tree(l), tree(r)))
+    }
+    plan match {
+      case OrderPlan(order) =>
+        var node: JoinNode = leaf(order(0), counted = true)
+        var k = 1
+        while (k < order.length) { node = add(new Inner(pattern, node, leaf(order(k), counted = false))); k += 1 }
+        node
+      case TreePlan(root) => tree(root)
+    }
+  }
 }
+
+/** An [[Engine]] typed by its plan kind, for callers that name it. */
+final class OrderEngine(pattern: Pattern, plan: OrderPlan) extends Engine(pattern, plan)
+
+/** An [[Engine]] typed by its plan kind, for callers that name it. */
+final class TreeEngine(pattern: Pattern, plan: TreePlan) extends Engine(pattern, plan)

@@ -92,6 +92,21 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("an engine rejects a plan that does not use each pattern position exactly once") {
+    val p3 = Pattern.seq(3, 10)
+    val cases = Seq(
+      p3 -> OrderPlan(Vector(0, 1, 5)),
+      p3 -> OrderPlan(Vector(-1, 0, 1)),
+      p3 -> OrderPlan(Vector(0, 1)),
+      p3 -> OrderPlan(Vector()),
+      p3 -> TreePlan(InnerNode(LeafNode(2), LeafNode(3))),
+      Pattern.seq(1, 10) -> OrderPlan(Vector(5)))
+    for ((p, plan) <- cases) {
+      val e = intercept[IllegalArgumentException](new Engine(p, plan))
+      assert(e.getMessage.contains(plan.toString), e.getMessage)
+    }
+  }
+
   /** Random SEQ and AND patterns over `ns`, four per kind and length, each
     * run by every plan of both kinds with random `[from, until)` bounds on
     * a stream of `count` events with tied ts.

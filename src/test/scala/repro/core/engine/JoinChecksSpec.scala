@@ -2,6 +2,7 @@ package repro.core.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.core.plan.{OrderPlan, TreePlan}
 
 /** White-box: the check lists and the live directions of every `Inner`,
   * against the positions of its children.
@@ -18,8 +19,8 @@ class JoinChecksSpec extends AnyFunSuite {
 
   /** Every join tree of both plan kinds for `p`. */
   private def joinTrees(p: Pattern): Seq[JoinNode] = {
-    val orders = (0 until p.n).permutations.map(o => OrderEngine.joinTree(p, o.toVector))
-    val trees = BruteForce.allTrees(0, p.n - 1).map(TreeEngine.joinTree(p, _))
+    val orders = (0 until p.n).permutations.map(o => new OrderEngine(p, OrderPlan(o.toVector)).root)
+    val trees = BruteForce.allTrees(0, p.n - 1).map(shape => new TreeEngine(p, TreePlan(shape)).root)
     orders.toSeq ++ trees
   }
 
@@ -83,7 +84,7 @@ class JoinChecksSpec extends AnyFunSuite {
 
   test("in a ZStream tree every left child is dead and stops its arrivals, every right child is live") {
     val p = Pattern.seq(5, 10)
-    for (shape <- BruteForce.allTrees(0, 4); in <- inners(TreeEngine.joinTree(p, shape)))
+    for (shape <- BruteForce.allTrees(0, 4); in <- inners(new TreeEngine(p, TreePlan(shape)).root))
       assert(!in.left.live && in.right.live && in.left.kept && !in.right.kept)
   }
 }
