@@ -96,6 +96,9 @@ final class StatisticsMonitor(
   }
 
   private var observed: Long = 0L
+  // The ts of the first event observed: `snapshot`'s rates are per tick
+  // since then, over at most `statWindow` ticks.
+  private var firstTs: Long = 0L
 
   /** Feed one event. Events of types outside the pattern are ignored. */
   def observe(e: Event): Unit = observe(e, pattern.typeToPos(e.etype))
@@ -105,6 +108,7 @@ final class StatisticsMonitor(
     */
   private[core] def observe(e: Event, pos: Int): Unit = {
     if (pos < 0) return
+    if (observed == 0L) firstTs = e.ts
     observed += 1L
     rateHists(pos).add(e.ts)
     // Selectivity sampling: one partner draw per predicate touching `pos`.
@@ -153,7 +157,7 @@ final class StatisticsMonitor(
 
   /** Current statistics estimate at time `now`. */
   def snapshot(now: Long): Stats = {
-    val span = math.min(statWindow, math.max(1L, now)).toDouble
+    val span = math.min(statWindow, math.max(1L, now - firstTs)).toDouble
     val rates = new Array[Double](n)
     var p = 0
     while (p < n) { rates(p) = math.min(1.0, rateHists(p).estimate(now) / span); p += 1 }

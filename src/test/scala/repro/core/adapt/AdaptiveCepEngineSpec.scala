@@ -251,6 +251,33 @@ class AdaptiveCepEngineSpec extends AnyFunSuite {
     assert(eng.counters.events == 4)
   }
 
+  test("shifting every ts leaves the matches, counters, final plan and final snapshot unchanged (figure cells)") {
+    for {
+      ds <- Seq(BenchHarness.traffic, BenchHarness.stocks)
+      len <- Seq(4, 6)
+      algo <- Seq(AlgoKind.Greedy, AlgoKind.ZStream)
+      dk <- BenchHarness.methods(algo)
+    } {
+      val evs = ds.gen(len, 6000, BenchHarness.Seed)
+      // The emitted ids in emission order, then everything else compared.
+      def run(shift: Long): (Array[Long], Seq[Any]) = {
+        val eng = Cep.makeEngine(ds.pattern(len), CepConfig(algo, dk))
+        val ids = Array.newBuilder[Long]
+        evs.foreach(e => eng.onEvent(e.copy(ts = e.ts + shift)).foreach(_.foreach(ev => ids += ev.id)))
+        val c = eng.counters
+        (ids.result(), Seq(c.plannerRuns, c.replacements, c.decisionEvals, eng.partialMatchesCreated,
+          eng.currentPlan, eng.monitor.snapshot(evs.last.ts + shift).monitoredValues.toSeq))
+      }
+      val (ids, rest) = run(0)
+      for (shift <- Seq(1000000L, 1000000000000L, -1000000L)) {
+        val (shiftedIds, shiftedRest) = run(shift)
+        val cell = s"${ds.name} $algo $dk, length $len, shift $shift"
+        assert(java.util.Arrays.equals(shiftedIds, ids), cell)
+        assert(shiftedRest == rest, cell)
+      }
+    }
+  }
+
   test("engine monitor equals a default monitor over 4 windows") {
     // What a warm-up built outside the engine relies on to get the engine's
     // initial statistics.
