@@ -1,6 +1,6 @@
 package repro.core.stats
 
-import repro.core.{Event, Pattern}
+import repro.core.{Event, Lcg, Pattern}
 
 /** Immutable snapshot of the monitored statistics (`Stat` in the paper): one
   * arrival rate per pattern position and one selectivity per predicate pair.
@@ -74,9 +74,9 @@ final class StatisticsMonitor(
 
   private val n = pattern.n
 
-  // The state of `java.util.Random`'s 48-bit linear congruential generator,
-  // in a plain field: `java.util.Random` advances it by compare-and-set.
-  private var lcg: Long = (seed ^ StatisticsMonitor.LcgMultiplier) & StatisticsMonitor.LcgMask
+  // The state of `java.util.Random`'s 48-bit linear congruential generator
+  // (`Lcg`), in a plain field: `java.util.Random` advances it by compare-and-set.
+  private var lcg: Long = Lcg.seeded(seed)
 
   private val rateHists = Array.fill(n)(new ExponentialHistogram(statWindow))
 
@@ -148,7 +148,7 @@ final class StatisticsMonitor(
 
   /** `java.util.Random.next(31)`. */
   private def next31(): Int = {
-    lcg = (lcg * StatisticsMonitor.LcgMultiplier + StatisticsMonitor.LcgAddend) & StatisticsMonitor.LcgMask
+    lcg = Lcg.step(lcg)
     (lcg >>> 17).toInt
   }
 
@@ -178,9 +178,4 @@ object StatisticsMonitor {
 
   /** Per-position ring buffer capacity for partner sampling. */
   private[stats] final val RingCapacity = 48
-
-  // `java.util.Random`'s generator constants.
-  private final val LcgMultiplier = 0x5DEECE66DL
-  private final val LcgAddend = 0xBL
-  private final val LcgMask = (1L << 48) - 1
 }

@@ -1,7 +1,6 @@
 package repro.data
 
-import repro.core.Event
-import scala.util.Random
+import repro.core.{Event, Lcg}
 
 /** Synthetic stand-in for the NASDAQ stock-tick dataset of the paper's
   * evaluation (§5.1).
@@ -28,7 +27,7 @@ object StockGen {
 
   def events(n: Int, count: Int, seed: Long): IndexedSeq[Event] = {
     require(n >= 1 && count >= 0)
-    val rnd = new Random(seed)
+    val rnd = new Lcg(seed)
     val w = Array.fill(n)(1.0 / n)
     val out = new Array[Event](count)
 

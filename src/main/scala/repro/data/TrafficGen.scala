@@ -1,7 +1,6 @@
 package repro.data
 
-import repro.core.Event
-import scala.util.Random
+import repro.core.{Event, Lcg}
 
 /** Synthetic stand-in for the Aarhus vehicle-traffic dataset of the paper's
   * evaluation (§5.1).
@@ -56,8 +55,8 @@ object TrafficGen {
       seed: Long = 11L,
   ): IndexedSeq[Event] = {
     require(n >= 1 && count >= 0 && epochs >= 1)
-    val rnd = new Random(seed)
-    val w = weights(n)
+    val rnd = new Lcg(seed)
+    val w = weights(n).toArray
     val epochLen = math.max(1, count / epochs)
     val out = new Array[Event](count)
     var i = 0
